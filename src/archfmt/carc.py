@@ -16,6 +16,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -36,7 +37,6 @@ TRAILER_LEN = 16  # crc u32 + footer_len u64 + magic
 STAT_TRUNCATE = 64  # bytes kept of STRING min/max
 _LEN_STRUCT = struct.Struct("<I")
 
-CODECS = ("none", "gzip")
 CTYPES = ("INT64", "STRING", "BYTES")
 
 
@@ -113,7 +113,20 @@ class ScanPredicate:
     column: str
     lo: Optional[object] = None  # range, inclusive
     hi: Optional[object] = None
-    values: Optional[tuple] = None  # set predicate
+    values: Optional[tuple] = None  # set predicate; tuple order feeds the planner
+    _members: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.values is not None:
+            object.__setattr__(self, "_members", frozenset(self.values))
+
+    def matches(self, value) -> bool:
+        """True if a row whose column holds value passes the filter."""
+        if value is None:
+            return False
+        if self._members is not None:
+            return value in self._members
+        return self.lo <= value <= self.hi
 
     @classmethod
     def range(cls, column, lo, hi) -> "ScanPredicate":
@@ -329,7 +342,7 @@ def write_carc(
     compresslevel: int = 3,
 ) -> str:
     """Stream rows into a CARC file; verifies sort_key order when claimed."""
-    if codec not in CODECS:
+    if codec not in _CODEC_ID:
         raise SchemaMismatch(f"unknown codec {codec!r}")
     out_path = str(out_path)
     sort_idx = schema.index_of(sort_key) if sort_key else None
@@ -388,11 +401,10 @@ def write_carc(
 def read_footer(file, tracker: Optional[IoTracker] = None) -> CarcFooter:
     tracker = tracker or IoTracker()
     with tracker.open(file) as fh:
-        footer, _ = _read_footer_fh(fh, file)
-    return footer
+        return _read_footer_fh(fh, file)
 
 
-def _read_footer_fh(fh, file) -> tuple[CarcFooter, int]:
+def _read_footer_fh(fh, file) -> CarcFooter:
     size = Path(file).stat().st_size
     if size < 6 + TRAILER_LEN:
         raise BadMagic(f"{file}: too small for a CARC file")
@@ -405,7 +417,7 @@ def _read_footer_fh(fh, file) -> tuple[CarcFooter, int]:
     raw = fh.pread(size - TRAILER_LEN - footer_len, footer_len)
     if zlib.crc32(raw) != crc:
         raise FooterCorrupt(f"{file}: footer CRC mismatch")
-    return _deserialize_footer(raw), footer_len + TRAILER_LEN
+    return _deserialize_footer(raw)
 
 
 def _stats_comparable(col: Column, sample) -> bool:
@@ -459,14 +471,6 @@ def plan_row_groups(footer: CarcFooter, pred: Optional[ScanPredicate]) -> list[i
     return planned
 
 
-def _matches(value, pred: ScanPredicate, col: Column) -> bool:
-    if value is None:
-        return False
-    if pred.values is not None:
-        return value in pred.values
-    return pred.lo <= value <= pred.hi
-
-
 def read_carc(
     file,
     projection: Optional[Sequence[str]] = None,
@@ -474,7 +478,8 @@ def read_carc(
     tracker: Optional[IoTracker] = None,
     bytes_view: bool = False,
 ) -> Iterator[tuple]:
-    """Yield projected fields of rows matching pred, in file row order.
+    """Yield the projection's fields, in projection order, of rows matching
+    pred, in file row order.  projection=None means every schema column.
 
     Only the chunks of projected and predicate columns of planned groups
     are read.  Pass a tracker to collect the I/O measurement.
@@ -485,22 +490,12 @@ def read_carc(
     tracker = tracker or IoTracker()
     file = str(file)
     with tracker.open(file) as fh:
-        footer, _ = _read_footer_fh(fh, file)
+        footer = _read_footer_fh(fh, file)
         schema = footer.schema
-        if projection is None:
-            proj_idx = list(range(len(schema.columns)))
-        else:
-            names = set(projection)
-            proj_idx = [i for i, c in enumerate(schema.columns) if c.name in names]
-            unknown = names - {c.name for c in schema.columns}
-            if unknown:
-                raise UnknownColumn(", ".join(sorted(unknown)))
-        need_idx = list(proj_idx)
-        pred_idx = None
-        if pred is not None:
-            pred_idx = schema.index_of(pred.column)
-            if pred_idx not in need_idx:
-                need_idx.append(pred_idx)
+        names = [c.name for c in schema.columns] if projection is None else projection
+        proj_idx = [schema.index_of(name) for name in names]
+        pred_idx = None if pred is None else schema.index_of(pred.column)
+        need_idx = sorted(set(proj_idx + ([] if pred is None else [pred_idx])))  # file order
 
         for gi in plan_row_groups(footer, pred):
             g = footer.row_groups[gi]
@@ -519,12 +514,14 @@ def read_carc(
                 decoded[ci] = _decode_chunk(
                     raw, schema.columns[ci], g.row_count, bytes_view
                 )
-            for ri in range(g.row_count):
-                if pred is not None and not _matches(
-                    decoded[pred_idx][ri], pred, schema.columns[pred_idx]
-                ):
-                    continue
-                yield tuple(decoded[ci][ri] for ci in proj_idx)
+            cols = [decoded[ci] for ci in proj_idx]
+            rows = zip(*cols) if cols else repeat((), g.row_count)
+            if pred is None:
+                yield from rows
+            else:
+                for value, row in zip(decoded[pred_idx], rows):
+                    if pred.matches(value):
+                        yield row
 
 
 def read_carc_rows(

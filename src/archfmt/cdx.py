@@ -16,7 +16,7 @@ from urllib.parse import urlsplit
 
 from . import warc
 from .errors import BadFieldCount, BadOffset, BadTimestamp, BadDate, NotAbsoluteUrl
-from .httpmsg import has_http_envelope, payload_digest, split_http_block
+from .httpmsg import http_fields, payload_digest
 from .iostats import IoTracker, Measurement
 
 CDX_HEADER = " CDX N b a m s k S V g"
@@ -136,10 +136,7 @@ def parse_timestamp14(s: str) -> int:
 # --- index build / parse / fetch -------------------------------------------
 
 def entry_for(record: warc.WarcRecord, loc: warc.RecordLocation) -> CdxEntry:
-    if has_http_envelope(record.content_type):
-        status, mime, _, payload = split_http_block(record.block)
-    else:
-        status, mime, payload = -1, record.content_type.split(";")[0].strip(), record.block
+    status, mime, _, payload = http_fields(record.content_type, record.block)
     return CdxEntry(
         urlkey=canonicalize_url(record.target_uri),
         timestamp14=timestamp14_of(parse_warc_date(record.warc_date_raw)),
@@ -153,12 +150,13 @@ def entry_for(record: warc.WarcRecord, loc: warc.RecordLocation) -> CdxEntry:
     )
 
 
-def build_cdx(warc_files, out, include_types: frozenset = frozenset({"response"})) -> int:
-    """Index the given WARC files into one sorted CDX file; returns line count."""
+def build_cdx(warc_files, out) -> int:
+    """Index the response records of the given WARC files into one sorted CDX
+    file; returns line count."""
     entries = []
     for file in warc_files:
         for record, loc in warc.scan_warc(file):
-            if record.record_type in include_types:
+            if record.record_type == "response":
                 entries.append(entry_for(record, loc))
     entries.sort(key=lambda e: (e.urlkey, e.timestamp14))
     with open(out, "w", encoding="utf-8", newline="\n") as fh:

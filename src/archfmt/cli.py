@@ -7,9 +7,7 @@ Machine-readable output goes to stdout; diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from pathlib import Path
 
 from . import bench, cdx, query
 from .convert import convert as _convert
@@ -28,9 +26,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="archfmt", description=__doc__)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("ARCHFMT_THREADS", "0") or 0),
-                        help="cap internal parallelism (0 = auto)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a deterministic synthetic WARC corpus")
@@ -59,7 +54,7 @@ def _build_parser() -> _Parser:
                    help="store the timestamp column as raw text (disables pushdown)")
 
     p = sub.add_parser("query", help="run a count/meta/records query on one backend")
-    p.add_argument("kind", choices=("count", "meta", "records"))
+    p.add_argument("kind", choices=query.KINDS)
     p.add_argument("--backend", choices=query.BACKENDS, required=True)
     p.add_argument("--warc", nargs="*", default=[], help="WARC files (warc/warc_cdx backends)")
     p.add_argument("--cdx")
@@ -115,18 +110,18 @@ def _query_paths(args) -> DatasetPaths:
 
 
 def _query_spec(args) -> QuerySpec:
+    projection = tuple(args.projection.split(","))
     if args.time_from or args.time_to:
         if args.url_file:
             raise UsageError("--from/--to and --url-file are mutually exclusive")
         lo = _parse_instant(args.time_from, end=False) if args.time_from else 0
         hi = _parse_instant(args.time_to, end=True) if args.time_to else 2**62
-        return QuerySpec(args.kind, time_range=(lo, hi),
-                         projection=tuple(args.projection.split(",")))
+        return QuerySpec(args.kind, time_range=(lo, hi), projection=projection)
     if args.url_file:
         with open(args.url_file, encoding="utf-8") as fh:
             keys = tuple(cdx.canonicalize_url(line.strip()) for line in fh if line.strip())
-        return QuerySpec(args.kind, urlkeys=keys, projection=tuple(args.projection.split(",")))
-    return QuerySpec(args.kind, projection=tuple(args.projection.split(",")))
+        return QuerySpec(args.kind, urlkeys=keys, projection=projection)
+    return QuerySpec(args.kind, projection=projection)
 
 
 def _cmd_gen(args) -> int:

@@ -13,13 +13,13 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import carc, rarc, warc
 from .carc import CarcSchema, Column
 from .cdx import canonicalize_url, parse_warc_date
 from .errors import ArchfmtError, Excluded
-from .httpmsg import has_http_envelope, payload_digest, split_http_block
+from .httpmsg import http_fields, payload_digest
 
 CANONICAL_SCHEMA = CarcSchema(
     (
@@ -50,8 +50,9 @@ _SORT_KEYS = {"none": None, "timestamp": COL["timestamp"], "urlkey": COL["urlkey
 _SPILL_BYTES = 256 << 20  # external sort chunk budget
 
 
-@dataclass
-class CanonicalRecord:
+class CanonicalRecord(NamedTuple):
+    """One canonical row; fields in CANONICAL_SCHEMA column order."""
+
     urlkey: str
     url: str
     timestamp_ms: int
@@ -63,39 +64,14 @@ class CanonicalRecord:
     http_headers: Optional[str]
     payload: bytes
 
-    def to_row(self) -> tuple:
-        return (
-            self.urlkey,
-            self.url,
-            self.timestamp_ms,
-            self.record_type,
-            self.mime,
-            self.status,
-            self.digest,
-            self.content_length,
-            self.http_headers,
-            self.payload,
-        )
-
-    @classmethod
-    def from_row(cls, row: tuple) -> "CanonicalRecord":
-        return cls(*row)
-
 
 def to_canonical(
-    record: warc.WarcRecord,
-    loc: Optional[warc.RecordLocation] = None,
-    include_types: frozenset = frozenset({"response"}),
+    record: warc.WarcRecord, include_types: frozenset = frozenset({"response"})
 ) -> CanonicalRecord:
     """Flatten one WARC record; raises Excluded for types outside the set."""
     if record.record_type not in include_types:
         raise Excluded(record.record_type)
-    if has_http_envelope(record.content_type):
-        status, mime, headers, payload = split_http_block(record.block)
-    else:
-        status, mime, headers, payload = -1, "", None, record.block
-    if not mime:
-        mime = record.content_type.split(";")[0].strip()
+    status, mime, headers, payload = http_fields(record.content_type, record.block)
     url = record.target_uri
     return CanonicalRecord(
         urlkey=canonicalize_url(url) if url else "",
@@ -196,11 +172,11 @@ def convert(
     rows_per_block: int = 1024,
     codec: str = "gzip",
     seed: int = 0,
-    include_types: frozenset = frozenset({"response"}),
     timestamp_as_text: bool = False,
     compresslevel: int = 3,
 ) -> Manifest:
-    """Convert WARC files into one CARC or RARC file plus a manifest."""
+    """Convert the response records of WARC files into one CARC or RARC file
+    plus a manifest."""
     if target not in ("carc", "rarc"):
         raise ArchfmtError(f"unknown target {target!r}")
     if sort not in _SORT_KEYS:
@@ -215,14 +191,13 @@ def convert(
 
     def rows() -> Iterator[tuple]:
         for file in warc_files:
-            for record, loc in warc.scan_warc(file):
+            for record, _loc in warc.scan_warc(file):
                 counts["in"] += 1
                 try:
-                    cr = to_canonical(record, loc, include_types)
+                    row = to_canonical(record)
                 except Excluded:
                     counts["excluded"] += 1
                     continue
-                row = cr.to_row()
                 if timestamp_as_text:
                     row = row[:2] + (record.warc_date_raw,) + row[3:]
                 counts["out"] += 1

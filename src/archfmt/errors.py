@@ -15,32 +15,32 @@ class IoFailure(ArchfmtError):
 
 # --- WARC layer ---
 
-class MalformedHeader(ArchfmtError):
-    def __init__(self, file, offset, detail):
-        super().__init__(f"{file}@{offset}: malformed WARC header: {detail}")
-        self.file = file
-        self.offset = offset
+class LocatedError(ArchfmtError):
+    """A data error at a byte offset of a file."""
 
-
-class LengthMismatch(ArchfmtError):
     def __init__(self, file, offset, detail):
         super().__init__(f"{file}@{offset}: {detail}")
         self.file = file
         self.offset = offset
 
 
-class GzipCorrupt(ArchfmtError):
+class MalformedHeader(LocatedError):
     def __init__(self, file, offset, detail):
-        super().__init__(f"{file}@{offset}: corrupt gzip member: {detail}")
-        self.file = file
-        self.offset = offset
+        super().__init__(file, offset, f"malformed WARC header: {detail}")
 
 
-class BadOffset(ArchfmtError):
+class LengthMismatch(LocatedError):
+    pass
+
+
+class GzipCorrupt(LocatedError):
+    def __init__(self, file, offset, detail):
+        super().__init__(file, offset, f"corrupt gzip member: {detail}")
+
+
+class BadOffset(LocatedError):
     def __init__(self, file, offset, detail="no record starts here"):
-        super().__init__(f"{file}@{offset}: {detail}")
-        self.file = file
-        self.offset = offset
+        super().__init__(file, offset, detail)
 
 
 # --- CDX layer ---
@@ -95,11 +95,9 @@ class DecompressFailure(ArchfmtError):
     pass
 
 
-class SyncLost(ArchfmtError):
+class SyncLost(LocatedError):
     def __init__(self, file, offset, detail="sync marker not found"):
-        super().__init__(f"{file}@{offset}: {detail}")
-        self.file = file
-        self.offset = offset
+        super().__init__(file, offset, detail)
 
 
 # --- convert / query / bench ---

@@ -9,10 +9,6 @@ from typing import Optional
 _SEP = b"\r\n\r\n"
 
 
-def has_http_envelope(content_type: str) -> bool:
-    return content_type.split(";")[0].strip().lower() == "application/http"
-
-
 def split_http_block(block: bytes) -> tuple[int, str, Optional[str], bytes]:
     """Return (status, mime, header_text, payload) for an HTTP message block.
 
@@ -39,6 +35,18 @@ def split_http_block(block: bytes) -> tuple[int, str, Optional[str], bytes]:
             mime = value.split(";")[0].strip().lower()
             break
     return status, mime, text, payload
+
+
+def http_fields(content_type: str, block: bytes) -> tuple[int, str, Optional[str], bytes]:
+    """(status, mime, header_text, payload) of a WARC block: application/http
+    blocks are split, others come back whole with status -1 and no header
+    text.  mime falls back to the WARC Content-Type."""
+    warc_mime = content_type.split(";")[0].strip()
+    if warc_mime.lower() == "application/http":
+        status, mime, headers, payload = split_http_block(block)
+    else:
+        status, mime, headers, payload = -1, "", None, block
+    return status, mime or warc_mime, headers, payload
 
 
 def payload_digest(payload: bytes) -> str:

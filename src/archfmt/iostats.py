@@ -27,13 +27,6 @@ class Measurement:
     open_count: int = 0
     records_out: int = 0
 
-    def add(self, other: "Measurement") -> None:
-        self.wall_ms += other.wall_ms
-        self.bytes_read += other.bytes_read
-        self.seek_count += other.seek_count
-        self.open_count += other.open_count
-        self.records_out += other.records_out
-
 
 class TrackedFile:
     """Thin wrapper over a binary file handle that feeds an IoTracker."""
@@ -47,16 +40,10 @@ class TrackedFile:
         self._tracker.bytes_read += len(data)
         return data
 
-    def seek(self, offset: int, whence: int = 0) -> int:
-        self._tracker.seek_count += 1
-        return self._fh.seek(offset, whence)
-
-    def tell(self) -> int:
-        return self._fh.tell()
-
     def pread(self, offset: int, n: int) -> bytes:
         """One positioned read: a seek plus a read of exactly n bytes."""
-        self.seek(offset)
+        self._tracker.seek_count += 1
+        self._fh.seek(offset)
         return self.read(n)
 
     def close(self) -> None:

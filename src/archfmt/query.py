@@ -2,41 +2,67 @@
 
 Backends: ``warc`` (full sequential scan), ``warc_cdx`` (index lookup plus
 positioned reads), ``carc`` (columnar with pushdown), ``rarc`` (row-binary
-full scan).  Every query reports an order-insensitive digest of the matched
-records so backends can be checked against each other.
+full scan).  Every query is a fold over the one scan path, :func:`_scan`, and
+reports an order-insensitive digest of the matched records so backends can
+be checked against each other.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from urllib.parse import urldefrag, urljoin
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
+from urllib.parse import urldefrag, urljoin
 
-from . import carc, cdx, rarc, warc
+from . import carc, cdx, convert, rarc, warc
 from .carc import ScanPredicate
-from .convert import CANONICAL_SCHEMA, COL, CanonicalRecord, to_canonical
-from .errors import BackendUnavailable
+from .convert import COL
+from .errors import ArchfmtError, BackendUnavailable, UnknownColumn
 from .iostats import IoTracker, Measurement
 
 BACKENDS = ("warc", "warc_cdx", "carc", "rarc")
-META_COLUMNS = tuple(c.name for c in CANONICAL_SCHEMA.columns if c.name not in ("payload", "http_headers"))
-DEFAULT_META_PROJECTION = ("urlkey", "timestamp", "digest")
+KINDS = ("count", "meta", "records")
+COLUMNS = tuple(COL)  # canonical schema order
+META_COLUMNS = tuple(c for c in COLUMNS if c not in ("payload", "http_headers"))
+DEFAULT_META_PROJECTION = ("urlkey", "timestamp", "digest")  # what the result digest hashes
+
+# Canonical columns the CDX carries, read off one index entry.
+_CDX_COLUMNS = {
+    "urlkey": attrgetter("urlkey"),
+    "url": attrgetter("original_url"),
+    "timestamp": lambda e: cdx.parse_timestamp14(e.timestamp14),
+    "record_type": lambda e: "response",
+    "mime": lambda e: "" if e.mime == "-" else e.mime,
+    "status": lambda e: int(e.status) if e.status.isdigit() else -1,
+    "digest": attrgetter("digest"),
+}
 
 
 @dataclass(frozen=True)
 class QuerySpec:
-    kind: str  # count | meta | records | scan_extract
+    kind: str  # count | meta | records
     time_range: Optional[tuple[int, int]] = None  # epoch ms, inclusive
     urlkeys: Optional[tuple[str, ...]] = None
     projection: tuple[str, ...] = DEFAULT_META_PROJECTION
-    extractor: str = "text"  # scan_extract only
 
     def __post_init__(self):
         if self.time_range is not None and self.urlkeys is not None:
             raise ValueError("at most one predicate")
+        if self.kind not in KINDS:
+            raise ArchfmtError(f"unknown query kind {self.kind!r}")
+        unknown = [name for name in self.projection if name not in COL]
+        if unknown:
+            raise UnknownColumn(f"unknown projection column(s): {', '.join(unknown)}")
+
+    def predicate(self) -> Optional[ScanPredicate]:
+        if self.time_range is not None:
+            return ScanPredicate.range("timestamp", *self.time_range)
+        if self.urlkeys is not None:
+            return ScanPredicate.isin("urlkey", self.urlkeys)
+        return None
 
 
 @dataclass(frozen=True)
@@ -50,6 +76,13 @@ class DatasetPaths:
     def warc_dir(self) -> str:
         return str(Path(self.warc_files[0]).parent)
 
+    def source(self, backend: str):
+        """What backend reads first; BackendUnavailable if unknown or not given."""
+        inputs = {"warc": self.warc_files, "warc_cdx": self.cdx, "carc": self.carc, "rarc": self.rarc}
+        if not inputs.get(backend):
+            raise BackendUnavailable(f"backend {backend!r} is unknown or has no input")
+        return inputs[backend]
+
 
 @dataclass
 class QueryResult:
@@ -59,185 +92,97 @@ class QueryResult:
     record_ids_digest: str
 
 
-class _DigestAcc:
-    """Order-insensitive digest over (urlkey, timestamp, digest) triples."""
+def _scan(
+    backend: str,
+    paths: DatasetPaths,
+    columns: tuple[str, ...],
+    pred: Optional[ScanPredicate],
+    tracker: IoTracker,
+    bytes_view: bool = False,
+) -> Iterator[tuple]:
+    """Yield a tuple of exactly `columns`, in that order, per row matching pred.
 
-    def __init__(self):
-        self.triples: list[tuple] = []
-
-    def add(self, urlkey, timestamp, digest):
-        self.triples.append((urlkey, timestamp, digest))
-
-    def hexdigest(self) -> str:
-        h = hashlib.sha256()
-        for u, t, d in sorted(self.triples):
-            h.update(f"{u}\x1f{t}\x1f{d}\n".encode("utf-8"))
-        return h.hexdigest()
-
-
-def _count_digest(n: int) -> str:
-    return hashlib.sha256(f"count:{n}".encode()).hexdigest()
-
-
-def _matches_row(row: tuple, spec: QuerySpec) -> bool:
-    if spec.time_range is not None:
-        lo, hi = spec.time_range
-        return lo <= row[COL["timestamp"]] <= hi
-    if spec.urlkeys is not None:
-        return row[COL["urlkey"]] in spec.urlkeys
-    return True
-
-
-def _predicate(spec: QuerySpec) -> Optional[ScanPredicate]:
-    if spec.time_range is not None:
-        return ScanPredicate.range("timestamp", *spec.time_range)
-    if spec.urlkeys is not None:
-        return ScanPredicate.isin("urlkey", spec.urlkeys)
-    return None
-
-
-def _iter_warc_rows(paths: DatasetPaths, tracker: IoTracker) -> Iterator[tuple]:
-    for file in paths.warc_files:
-        for record, _loc in warc.scan_warc(file, tracker=tracker):
-            if record.record_type != "response":
-                continue
-            yield to_canonical(record).to_row()
-
-
-def _iter_rarc_rows(paths: DatasetPaths, tracker: IoTracker) -> Iterator[tuple]:
-    yield from rarc.read_rarc(paths.rarc, tracker=tracker)
-
-
-def _require(value, what: str, backend: str):
-    if not value:
-        raise BackendUnavailable(f"backend {backend} needs {what}")
-    return value
-
-
-def _read_cdx_entries(paths: DatasetPaths, tracker: IoTracker) -> list[cdx.CdxEntry]:
-    path = _require(paths.cdx, "a CDX index", "warc_cdx")
-    entries = list(cdx.parse_cdx(path))
-    tracker.open_count += 1
-    tracker.seek_count += 1
-    tracker.bytes_read += Path(path).stat().st_size
-    return entries
+    carc reads only the chunks it needs of the row groups the planner keeps.
+    warc_cdx filters index entries and answers from the CDX alone when every
+    column is a CDX column, else fetches the records.  warc and rarc filter
+    full canonical rows.  bytes_view is passed to the container readers.
+    """
+    source = paths.source(backend)
+    if backend == "carc":
+        yield from carc.read_carc(
+            source, projection=columns, pred=pred, tracker=tracker, bytes_view=bytes_view
+        )
+        return
+    if backend == "warc_cdx":
+        tracker.open_count += 1
+        tracker.seek_count += 1
+        tracker.bytes_read += Path(source).stat().st_size
+        entries = cdx.parse_cdx(source)
+        if pred is not None:
+            key = _CDX_COLUMNS[pred.column]
+            entries = (e for e in entries if pred.matches(key(e)))
+        if all(c in _CDX_COLUMNS for c in columns):
+            getters = [_CDX_COLUMNS[c] for c in columns]
+            for e in entries:
+                yield tuple(get(e) for get in getters)
+            return
+        paths.source("warc")  # the records are read from the WARC files
+        records = cdx.iter_fetch_records(list(entries), paths.warc_dir, tracker)  # index pass first
+        rows = (convert.to_canonical(record) for record in records)
+    else:
+        if backend == "warc":
+            rows = (
+                convert.to_canonical(record)
+                for file in source
+                for record, _loc in warc.scan_warc(file, tracker=tracker)
+                if record.record_type == "response"
+            )
+        else:
+            rows = rarc.read_rarc(source, tracker=tracker, bytes_view=bytes_view)
+        if pred is not None:
+            key = COL[pred.column]
+            rows = (row for row in rows if pred.matches(row[key]))
+    pick = [COL[c] for c in columns]
+    for row in rows:
+        yield tuple(row[i] for i in pick)
 
 
-def _filter_entries(entries, spec: QuerySpec) -> list[cdx.CdxEntry]:
-    if spec.time_range is not None:
-        lo, hi = spec.time_range
-        return [e for e in entries if lo <= cdx.parse_timestamp14(e.timestamp14) <= hi]
-    if spec.urlkeys is not None:
-        keys = set(spec.urlkeys)
-        return [e for e in entries if e.urlkey in keys]
-    return list(entries)
+def _digest(ids: list[tuple]) -> str:
+    h = hashlib.sha256()
+    for u, t, d in sorted(ids):
+        h.update(f"{u}\x1f{t}\x1f{d}\n".encode("utf-8"))
+    return h.hexdigest()
 
 
 def run_query(
     spec: QuerySpec, backend: str, paths: DatasetPaths, keep_rows: bool = True
 ) -> QueryResult:
     """Execute a count/meta/records query on one backend."""
-    if backend not in BACKENDS:
-        raise BackendUnavailable(backend)
     tracker = IoTracker()
-    acc = _DigestAcc()
-    rows: Optional[list] = [] if keep_rows else None
-    n = 0
-    proj_idx = [COL[name] for name in spec.projection]
-
-    def take(row: tuple):
-        nonlocal n
-        n += 1
-        acc.add(row[COL["urlkey"]], row[COL["timestamp"]], row[COL["digest"]])
-        if rows is not None:
-            rows.append(row if spec.kind == "records" else tuple(row[i] for i in proj_idx))
-
-    if backend in ("warc", "rarc"):
-        if backend == "warc":
-            _require(paths.warc_files, "WARC files", backend)
-            source = _iter_warc_rows(paths, tracker)
+    pred = spec.predicate()
+    if spec.kind == "count":
+        if backend == "carc" and pred is None:  # the footer holds the row count
+            n = carc.read_footer(paths.source("carc"), tracker).total_rows
         else:
-            _require(paths.rarc, "an RARC file", backend)
-            source = _iter_rarc_rows(paths, tracker)
-        for row in source:
-            if _matches_row(row, spec):
-                take(row)
-        digest = _count_digest(n) if spec.kind == "count" else acc.hexdigest()
-        if spec.kind == "count":
-            rows = [n]
-
-    elif backend == "warc_cdx":
-        entries = _filter_entries(_read_cdx_entries(paths, tracker), spec)
-        if spec.kind == "count":
-            n = len(entries)
-            rows = [n]
-            digest = _count_digest(n)
-        elif spec.kind == "meta":
-            for e in entries:
-                row = _entry_row(e)
-                take(row)
-            digest = acc.hexdigest()
-        else:  # records: positioned reads
-            for record in cdx.iter_fetch_records(entries, paths.warc_dir, tracker):
-                take(to_canonical(record).to_row())
-            digest = acc.hexdigest()
-
-    else:  # carc
-        path = _require(paths.carc, "a CARC file", backend)
-        pred = _predicate(spec)
-        if spec.kind == "count":
-            if pred is None:
-                footer = carc.read_footer(path, tracker)
-                n = footer.total_rows
-            else:
-                for _ in carc.read_carc(path, projection=(), pred=pred, tracker=tracker):
-                    n += 1
-            rows = [n]
-            digest = _count_digest(n)
-        else:
-            if spec.kind == "meta":
-                needed = tuple(dict.fromkeys(spec.projection + ("urlkey", "timestamp", "digest")))
-            else:
-                needed = None  # full projection
-            schema = CANONICAL_SCHEMA
-            if needed is None:
-                positions = {name: i for i, name in enumerate(COL)}
-            else:
-                in_schema_order = [c.name for c in schema.columns if c.name in needed]
-                positions = {name: i for i, name in enumerate(in_schema_order)}
-            for frag in carc.read_carc(path, projection=needed, pred=pred, tracker=tracker):
-                n += 1
-                acc.add(
-                    frag[positions["urlkey"]], frag[positions["timestamp"]], frag[positions["digest"]]
-                )
-                if rows is not None:
-                    if spec.kind == "records":
-                        rows.append(frag)
-                    else:
-                        rows.append(tuple(frag[positions[name]] for name in spec.projection))
-            digest = acc.hexdigest()
-
+            n = sum(1 for _ in _scan(backend, paths, (), pred, tracker))
+        rows: Optional[list] = [n]
+        digest = hashlib.sha256(f"count:{n}".encode()).hexdigest()
+    else:
+        out = COLUMNS if spec.kind == "records" else spec.projection
+        k = len(out)
+        ids = []
+        rows = [] if keep_rows else None
+        for row in _scan(backend, paths, out + DEFAULT_META_PROJECTION, pred, tracker):
+            ids.append(row[k:])
+            if rows is not None:
+                rows.append(row[:k])
+        n = len(ids)
+        digest = _digest(ids)
     return QueryResult(
         rows=rows,
         measurement=tracker.measurement(records_out=n),
         backend=backend,
         record_ids_digest=digest,
-    )
-
-
-def _entry_row(e: cdx.CdxEntry) -> tuple:
-    """Canonical-row-shaped tuple backed by CDX fields only."""
-    return (
-        e.urlkey,
-        e.original_url,
-        cdx.parse_timestamp14(e.timestamp14),
-        "response",
-        e.mime,
-        int(e.status) if e.status.isdigit() else -1,
-        e.digest,
-        -1,  # payload length not recorded in CDX
-        None,
-        b"",
     )
 
 
@@ -314,34 +259,6 @@ def _escape_derived(s: str) -> str:
 _EXTRACT_COLUMNS = ("mime", "digest", "url", "payload")
 
 
-def _iter_extract_rows(backend: str, paths: DatasetPaths, tracker: IoTracker) -> Iterator[tuple]:
-    """Yield (mime, digest, url, payload) per record; carc projects the columns."""
-    pick = tuple(COL[name] for name in _EXTRACT_COLUMNS)
-    if backend == "warc":
-        _require(paths.warc_files, "WARC files", backend)
-        for row in _iter_warc_rows(paths, tracker):
-            yield tuple(row[i] for i in pick)
-    elif backend == "warc_cdx":
-        entries = _read_cdx_entries(paths, tracker)
-        for record in cdx.iter_fetch_records(entries, paths.warc_dir, tracker):
-            row = to_canonical(record).to_row()
-            yield tuple(row[i] for i in pick)
-    elif backend == "carc":
-        path = _require(paths.carc, "a CARC file", backend)
-        in_schema_order = [c.name for c in CANONICAL_SCHEMA.columns if c.name in _EXTRACT_COLUMNS]
-        reorder = tuple(in_schema_order.index(name) for name in _EXTRACT_COLUMNS)
-        for frag in carc.read_carc(
-            path, projection=_EXTRACT_COLUMNS, tracker=tracker, bytes_view=True
-        ):
-            yield tuple(frag[i] for i in reorder)
-    elif backend == "rarc":
-        _require(paths.rarc, "an RARC file", backend)
-        for row in rarc.read_rarc(paths.rarc, tracker=tracker, bytes_view=True):
-            yield tuple(row[i] for i in pick)
-    else:
-        raise BackendUnavailable(backend)
-
-
 def scan_extract(
     backend: str, paths: DatasetPaths, extractor: str, out_path
 ) -> tuple[str, Measurement]:
@@ -352,7 +269,8 @@ def scan_extract(
     """
     tracker = IoTracker()
     lines = []
-    for mime, digest, url, payload in _iter_extract_rows(backend, paths, tracker):
+    rows = _scan(backend, paths, _EXTRACT_COLUMNS, None, tracker, bytes_view=True)
+    for mime, digest, url, payload in rows:
         if mime.split(";")[0].strip().lower() != "text/html":
             continue
         if extractor == "links":

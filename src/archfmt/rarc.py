@@ -11,13 +11,13 @@ format splittable and concatenatable.
 
 from __future__ import annotations
 
+import io
 import random
 import struct
 import zlib
-from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .carc import CarcSchema, _check_value
+from .carc import _CODEC_ID, _CODEC_NAME, CarcSchema, _check_value
 from .errors import BadMagic, DecompressFailure, SchemaMismatch, SyncLost
 from .iostats import IoTracker, Measurement
 
@@ -25,8 +25,6 @@ MAGIC = b"RARC"
 VERSION = 1
 SYNC_LEN = 16
 _BLOCK_HEAD = struct.Struct("<IQQ")
-_CODEC_ID = {"none": 0, "gzip": 1}
-_CODEC_NAME = {v: k for k, v in _CODEC_ID.items()}
 
 
 def encode_rows(rows: Sequence[Sequence], schema: CarcSchema) -> bytes:
@@ -204,7 +202,7 @@ def resync(file, start_offset: int, tracker: Optional[IoTracker] = None) -> Iter
     tracker = tracker or IoTracker()
     with tracker.open(file, sequential=True) as fh:
         data = fh.read()
-    schema, codec, sync, header_len = read_header(_Buf(data), file)
+    schema, codec, sync, header_len = read_header(io.BytesIO(data), file)
 
     search = max(0, start_offset - SYNC_LEN)
     while True:
@@ -226,16 +224,3 @@ def resync(file, start_offset: int, tracker: Optional[IoTracker] = None) -> Iter
         raw = _decode_block_payload(data[pos + _BLOCK_HEAD.size : end], ulen, codec, file, pos)
         yield from decode_rows(raw, schema, count)
         pos = end + SYNC_LEN
-
-
-class _Buf:
-    """Minimal sequential reader over bytes, for header parsing."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def read(self, n: int) -> bytes:
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out

@@ -17,7 +17,6 @@ from typing import Iterator, Optional
 from .errors import BadOffset, GzipCorrupt, IoFailure, LengthMismatch, MalformedHeader
 from .iostats import IoTracker
 
-KNOWN_TYPES = {"warcinfo", "request", "response", "metadata", "resource", "revisit"}
 MANDATORY = ("warc-record-id", "content-length", "warc-date", "warc-type")
 
 GZIP_MAGIC = b"\x1f\x8b"
@@ -59,7 +58,6 @@ def make_record(
     warc_date: str,
     content_type: str,
     block: bytes,
-    extra_headers: Optional[list[tuple[str, str]]] = None,
 ) -> WarcRecord:
     """Assemble a WarcRecord with a conformant header field list."""
     headers = [
@@ -71,8 +69,6 @@ def make_record(
     ]
     if target_uri:
         headers.insert(3, ("WARC-Target-URI", target_uri))
-    if extra_headers:
-        headers.extend(extra_headers)
     return WarcRecord(
         record_id=record_id,
         record_type=record_type.lower(),
@@ -214,17 +210,15 @@ def _scan_member_gzip(fh, file: str) -> Iterator[tuple[WarcRecord, RecordLocatio
 
 
 def scan_warc(
-    file, mode: str = "auto", tracker: Optional[IoTracker] = None
+    file, tracker: Optional[IoTracker] = None
 ) -> Iterator[tuple[WarcRecord, RecordLocation]]:
     """Yield every record of file in order together with its location."""
     file = str(file)
-    if mode == "auto":
-        if Path(file).stat().st_size == 0:
-            return
-        mode = detect_mode(file)
+    if Path(file).stat().st_size == 0:
+        return
     tracker = tracker or IoTracker()
     with tracker.open(file, sequential=True) as fh:
-        if mode == "member_gzip":
+        if detect_mode(file) == "member_gzip":
             yield from _scan_member_gzip(fh, file)
         else:
             yield from _scan_plain(fh, file)

@@ -330,3 +330,20 @@ def test_bytes_view_yields_equal_views(tmp_path):
     for view_row, row in zip(got, rows):
         assert isinstance(view_row[-1], memoryview)
         assert [bytes(v) if isinstance(v, memoryview) else v for v in view_row] == list(row)
+
+
+def test_projection_order_is_kept(tmp_path):
+    rows = make_rows(300, seed=8)
+    path = tmp_path / "order.carc"
+    write_carc(rows, SCHEMA, path, rows_per_group=64)
+    got, _ = read_carc_rows(path, projection=("timestamp", "urlkey", "timestamp"))
+    assert got == [(r[1], r[0], r[1]) for r in rows]
+
+
+def test_scan_predicate_matches():
+    rng = ScanPredicate.range("timestamp", 10, 20)
+    assert [rng.matches(v) for v in (9, 10, 20, 21, None)] == [False, True, True, False, False]
+    keys = [f"k{i}" for i in range(1000)]
+    isin = ScanPredicate.isin("urlkey", keys)
+    assert isin.values == tuple(keys)  # the planner iterates the tuple
+    assert isin.matches("k999") and not isin.matches("k1000") and not isin.matches(None)

@@ -144,3 +144,14 @@ def test_io_error_exit_code(capsys):
         capsys, "query", "count", "--backend", "carc", "--data", "/nonexistent/x.carc"
     )
     assert code == 3
+
+
+def test_query_unknown_projection_is_data_error(cli_dataset, capsys):
+    capsys.readouterr()
+    code, out, err = run(
+        capsys, "query", "meta", "--backend", "carc", "--data", cli_dataset["carc"],
+        "--projection", "urlkey,bogus",
+    )
+    assert code == 2
+    assert err.startswith("error:") and "bogus" in err
+    assert out == ""

@@ -187,3 +187,12 @@ def test_manifest_file_contents(tmp_path):
     assert pairs["sort"] == "none"
     assert pairs["codec"] == "gzip"
     assert pairs["output"] == manifest.output
+
+
+def test_convert_submodule_is_not_shadowed():
+    import types
+
+    import archfmt.convert as module
+
+    assert isinstance(module, types.ModuleType)
+    assert callable(module.convert)

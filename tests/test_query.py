@@ -198,3 +198,42 @@ def test_url_list_selectivity_helper(corpus):
     assert run_query(full, "carc", paths).rows == [n]
     part = run_query(QuerySpec(kind="count", urlkeys=lists[0]), "carc", paths).rows[0]
     assert abs(part / n - 0.1) <= 0.1 * 0.1 + 2 / n
+
+
+def test_meta_rows_identical_across_backends(corpus, tmp_path):
+    """meta answers with the same rows on every backend, for the full
+    metadata projection and for one the CDX alone can serve, including a
+    response whose HTTP message names no Content-Type."""
+    from archfmt.query import META_COLUMNS
+    from archfmt.warc import make_record, scan_warc
+
+    records = [r for f in corpus["paths"].warc_files for r, _ in scan_warc(f)]
+    records.append(
+        make_record(
+            record_id="<urn:uuid:00000000-0000-4000-a000-000000000001>",
+            record_type="response",
+            target_uri="http://no-content-type.example/",
+            warc_date="2018-05-21T08:00:00Z",
+            content_type="application/http; msgtype=response",
+            block=b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+        )
+    )
+    paths = make_dataset(tmp_path, records)
+    cdx_only = tuple(c for c in META_COLUMNS if c != "content_length")
+    for projection in (META_COLUMNS, cdx_only):
+        spec = QuerySpec(kind="meta", projection=projection)
+        answers = {b: sorted(run_query(spec, b, paths).rows) for b in BACKENDS}
+        assert len(answers["warc"]) == len(records)
+        for backend in BACKENDS:
+            assert answers[backend] == answers["warc"], (backend, projection)
+    no_ct = [r for r in answers["warc"] if r[0].startswith("example,no-content-type)")]
+    assert [r[cdx_only.index("mime")] for r in no_ct] == ["application/http"]
+
+
+def test_bad_query_spec_is_typed_error():
+    from archfmt.errors import ArchfmtError, UnknownColumn
+
+    with pytest.raises(UnknownColumn):
+        QuerySpec(kind="meta", projection=("urlkey", "bogus"))
+    with pytest.raises(ArchfmtError):
+        QuerySpec(kind="bogus")
