@@ -129,7 +129,7 @@ class _Synth:
         )
 
 
-def generate_corpus(spec: SyntheticSpec, out_dir, compresslevel: int = 6) -> list[str]:
+def generate_corpus(spec: SyntheticSpec, out_dir) -> list[str]:
     """Write the corpus as member-gzip WARC files, ~100 MiB compressed each."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -151,7 +151,7 @@ def generate_corpus(spec: SyntheticSpec, out_dir, compresslevel: int = 6) -> lis
         out = open_next()
         for i in range(spec.record_count):
             member = gzip.compress(
-                warc.serialize_record(synth.record(i)), compresslevel=compresslevel, mtime=0
+                warc.serialize_record(synth.record(i)), compresslevel=warc.GZIP_LEVEL, mtime=0
             )
             if written and written + len(member) > _FILE_BYTES:
                 out = open_next()

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from . import carc, rarc, warc
 from .carc import CarcSchema, Column
 from .cdx import canonicalize_url, parse_warc_date
-from .errors import ArchfmtError, Excluded
+from .errors import ArchfmtError, Excluded, IoFailure
 from .httpmsg import http_fields, payload_digest
 
 CANONICAL_SCHEMA = CarcSchema(
@@ -228,9 +228,11 @@ def convert(
                 seed=seed,
                 compresslevel=compresslevel,
             )
-    except BaseException:
+    except BaseException as exc:
         if out_path.exists():
             out_path.unlink()
+        if isinstance(exc, OSError):
+            raise IoFailure(f"converting to {out_path}: {exc}") from exc
         raise
 
     manifest = Manifest(

@@ -5,8 +5,8 @@ cells can report bytes read, seek counts, and open counts independently of
 the host's page cache.  Conventions:
 
 * ``open_count`` — one per file opened.
-* ``seek_count`` — one per positioned read and one per sequential scan
-  start (establishing the cursor costs one seek).
+* ``seek_count`` — one per seek or positioned read and one per sequential
+  scan start (establishing the cursor costs one seek).
 * ``bytes_read`` — bytes actually delivered from the file, compressed as
   stored on disk.
 """
@@ -40,10 +40,13 @@ class TrackedFile:
         self._tracker.bytes_read += len(data)
         return data
 
-    def pread(self, offset: int, n: int) -> bytes:
-        """One positioned read: a seek plus a read of exactly n bytes."""
+    def seek(self, offset: int) -> None:
         self._tracker.seek_count += 1
         self._fh.seek(offset)
+
+    def pread(self, offset: int, n: int) -> bytes:
+        """One positioned read: a seek plus a read of exactly n bytes."""
+        self.seek(offset)
         return self.read(n)
 
     def close(self) -> None:

@@ -6,12 +6,14 @@ Each block is record_count u32, uncompressed_len u64, compressed_len u64,
 the (possibly compressed) concatenated record encodings, and a copy of
 the sync marker.  Sequential reads follow the lengths; split readers
 recover block boundaries by searching for the marker, which makes the
-format splittable and concatenatable.
+format splittable and concatenatable.  Both go through one block walker,
+which checks every length against the file size and the codec before it
+reads or inflates anything.
 """
 
 from __future__ import annotations
 
-import io
+import os
 import random
 import struct
 import zlib
@@ -24,7 +26,11 @@ from .iostats import IoTracker, Measurement
 MAGIC = b"RARC"
 VERSION = 1
 SYNC_LEN = 16
+_HEADER = struct.Struct("<4sHBI")  # magic, version, codec id, schema text length
 _BLOCK_HEAD = struct.Struct("<IQQ")
+_READ_CHUNK = 1 << 16  # marker search read size
+_MAX_SCHEMA = 1 << 20
+_MAX_INFLATE = 1032  # deflate expands its input at most about 1032-fold
 
 
 def encode_rows(rows: Sequence[Sequence], schema: CarcSchema) -> bytes:
@@ -106,9 +112,8 @@ def write_rarc(
     sync = random.Random(seed).randbytes(SYNC_LEN)
     schema_text = schema.to_text().encode("utf-8")
     with open(out_path, "wb") as out:
-        out.write(MAGIC + struct.pack("<HB", VERSION, _CODEC_ID[codec]))
-        out.write(struct.pack("<I", len(schema_text)) + schema_text)
-        out.write(sync)
+        head = _HEADER.pack(MAGIC, VERSION, _CODEC_ID[codec], len(schema_text))
+        out.write(head + schema_text + sync)
         buffer: list[Sequence] = []
         for row in rows:
             buffer.append(tuple(row))
@@ -122,25 +127,55 @@ def write_rarc(
 
 def read_header(fh, file) -> tuple[CarcSchema, str, bytes, int]:
     """Returns (schema, codec, sync marker, header length)."""
-    head = fh.read(7)
-    if head[:4] != MAGIC:
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size or head[:4] != MAGIC:
         raise BadMagic(f"{file}: not an RARC file")
-    version, codec_id = struct.unpack("<HB", head[4:])
-    (schema_len,) = struct.unpack("<I", fh.read(4))
-    schema = CarcSchema.from_text(fh.read(schema_len).decode("utf-8"))
+    _, version, codec_id, schema_len = _HEADER.unpack(head)
+    if version != VERSION or codec_id not in _CODEC_NAME or schema_len > _MAX_SCHEMA:
+        raise BadMagic(f"{file}: RARC version {version}, codec {codec_id}, schema {schema_len} B")
+    text = fh.read(schema_len)
     sync = fh.read(SYNC_LEN)
-    return schema, _CODEC_NAME[codec_id], sync, 11 + schema_len + SYNC_LEN
+    if len(sync) < SYNC_LEN:
+        raise BadMagic(f"{file}: truncated RARC header")
+    try:
+        schema = CarcSchema.from_text(text.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise BadMagic(f"{file}: RARC schema is not UTF-8") from None
+    return schema, _CODEC_NAME[codec_id], sync, _HEADER.size + schema_len + SYNC_LEN
 
 
-def _decode_block_payload(stored: bytes, ulen: int, codec: str, file, offset) -> bytes:
-    if codec == "gzip":
+def _blocks(fh, file: str, header, offset: int, size: int, bytes_view: bool) -> Iterator[list]:
+    """Decode the blocks from offset, where fh stands, to the end of the file:
+    one list of rows per block.
+
+    Each length in a block head is checked against the file size and the
+    codec before anything is read for it.
+    """
+    schema, codec, sync, _ = header
+    while True:
+        head = fh.read(_BLOCK_HEAD.size)
+        if not head:
+            return
+        if len(head) < _BLOCK_HEAD.size:
+            raise SyncLost(file, offset, "truncated block header")
+        count, ulen, clen = _BLOCK_HEAD.unpack(head)
+        end = offset + _BLOCK_HEAD.size + clen
+        if end + SYNC_LEN > size:
+            raise SyncLost(file, offset, f"block of {clen} bytes runs past the end of the file")
+        if ulen != clen if codec == "none" else ulen > _MAX_INFLATE * clen + 64:
+            raise DecompressFailure(f"{file}@{offset}: {ulen} bytes cannot be {clen} {codec} bytes")
+        stored = fh.read(clen)
+        if fh.read(SYNC_LEN) != sync:
+            raise SyncLost(file, end, "sync marker mismatch")
         try:
-            stored = zlib.decompress(stored, zlib.MAX_WBITS, ulen or 1)
-        except zlib.error as exc:
+            raw = zlib.decompress(stored, zlib.MAX_WBITS, ulen or 1) if codec == "gzip" else stored
+            if len(raw) != ulen:
+                raise DecompressFailure("uncompressed length mismatch")
+            rows = decode_rows(raw, schema, count, bytes_view)
+        except (zlib.error, struct.error, UnicodeDecodeError, IndexError, DecompressFailure) as exc:
             raise DecompressFailure(f"{file}@{offset}: {exc}") from None
-    if len(stored) != ulen:
-        raise DecompressFailure(f"{file}@{offset}: uncompressed length mismatch")
-    return stored
+        yield rows
+        offset = end + SYNC_LEN
 
 
 def read_rarc(
@@ -153,24 +188,11 @@ def read_rarc(
     """
     file = str(file)
     tracker = tracker or IoTracker()
+    size = os.path.getsize(file)
     with tracker.open(file, sequential=True) as fh:
-        schema, codec, sync, offset = read_header(fh, file)
-        while True:
-            head = fh.read(_BLOCK_HEAD.size)
-            if not head:
-                return
-            if len(head) < _BLOCK_HEAD.size:
-                raise SyncLost(file, offset, "truncated block header")
-            count, ulen, clen = _BLOCK_HEAD.unpack(head)
-            stored = fh.read(clen)
-            marker = fh.read(SYNC_LEN)
-            if len(stored) < clen or len(marker) < SYNC_LEN:
-                raise SyncLost(file, offset, "truncated block")
-            if marker != sync:
-                raise SyncLost(file, offset + _BLOCK_HEAD.size + clen, "sync marker mismatch")
-            raw = _decode_block_payload(stored, ulen, codec, file, offset)
-            yield from decode_rows(raw, schema, count, bytes_view)
-            offset += _BLOCK_HEAD.size + clen + SYNC_LEN
+        header = read_header(fh, file)
+        for rows in _blocks(fh, file, header, header[3], size, bytes_view):
+            yield from rows
 
 
 def read_rarc_rows(file, tracker: Optional[IoTracker] = None) -> tuple[list[tuple], Measurement]:
@@ -179,48 +201,47 @@ def read_rarc_rows(file, tracker: Optional[IoTracker] = None) -> tuple[list[tupl
     return rows, tracker.measurement(records_out=len(rows))
 
 
-def _valid_block_at(data: bytes, pos: int, sync: bytes) -> bool:
-    if pos == len(data):
-        return True  # end of file: nothing follows the marker
-    if pos + _BLOCK_HEAD.size > len(data):
-        return False
-    count, ulen, clen = _BLOCK_HEAD.unpack_from(data, pos)
-    end = pos + _BLOCK_HEAD.size + clen
-    return end + SYNC_LEN <= len(data) and data[end : end + SYNC_LEN] == sync
+def _find_marker(fh, sync: bytes, start: int) -> Optional[int]:
+    """Seek fh to just past the first copy of sync at or after offset start and
+    return that offset, or None if the file holds no further copy."""
+    buf = fh.pread(start, _READ_CHUNK)
+    base = start
+    while (idx := buf.find(sync)) < 0:
+        chunk = fh.read(_READ_CHUNK)
+        if not chunk:
+            return None
+        keep = buf[1 - SYNC_LEN :]  # a marker split across two reads
+        base += len(buf) - len(keep)
+        buf = keep + chunk
+    fh.seek(base + idx + SYNC_LEN)
+    return base + idx + SYNC_LEN
 
 
 def resync(file, start_offset: int, tracker: Optional[IoTracker] = None) -> Iterator[tuple]:
-    """Scan forward from start_offset for a sync marker, then yield every
+    """Stream forward from start_offset to a sync marker, then yield every
     record of every subsequent block.
 
-    A marker whose copy ends at or after start_offset counts, so
-    resync(0) and resync(header_len) both pass the header marker and yield
-    the whole file.  Payload bytes that happen to equal the marker are
-    rejected by validating the block structure that would follow them.
+    A marker whose copy ends at or after start_offset counts, so resync(0)
+    and resync(header_len) both yield the whole file.  Payload bytes that
+    equal the marker are passed over when no block frames after them.
+    Blocks are read as rows are consumed, so reading stops with the caller.
     """
     file = str(file)
     tracker = tracker or IoTracker()
+    size = os.path.getsize(file)
     with tracker.open(file, sequential=True) as fh:
-        data = fh.read()
-    schema, codec, sync, header_len = read_header(io.BytesIO(data), file)
-
-    search = max(0, start_offset - SYNC_LEN)
-    while True:
-        idx = data.find(sync, search)
-        if idx < 0:
+        header = read_header(fh, file)
+        sync, pos = header[2], header[3]
+        if start_offset > pos:
+            pos = _find_marker(fh, sync, start_offset - SYNC_LEN)
+        while pos is not None:
+            blocks = _blocks(fh, file, header, pos, size, False)
+            try:
+                first = next(blocks, [])
+            except SyncLost:
+                pos = _find_marker(fh, sync, pos - SYNC_LEN + 1)
+                continue
+            yield from first
+            for rows in blocks:
+                yield from rows
             return
-        pos = idx + SYNC_LEN
-        if _valid_block_at(data, pos, sync):
-            break
-        search = idx + 1
-
-    while pos < len(data):
-        if pos + _BLOCK_HEAD.size > len(data):
-            raise SyncLost(file, pos, "truncated block header")
-        count, ulen, clen = _BLOCK_HEAD.unpack_from(data, pos)
-        end = pos + _BLOCK_HEAD.size + clen
-        if end + SYNC_LEN > len(data) or data[end : end + SYNC_LEN] != sync:
-            raise SyncLost(file, pos, "block not terminated by sync marker")
-        raw = _decode_block_payload(data[pos + _BLOCK_HEAD.size : end], ulen, codec, file, pos)
-        yield from decode_rows(raw, schema, count)
-        pos = end + SYNC_LEN

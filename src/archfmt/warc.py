@@ -4,14 +4,20 @@ A record is a version line, CRLF-terminated header lines, a blank line,
 ``Content-Length`` bytes of block, and a CRLF CRLF terminator.  The two
 CRLFs belong to the preceding record's stored_length so that the
 stored lengths of a scan tile the file exactly.
+
+``scan_warc`` walks a file front to back through one read window, refilled
+only when it runs short.  A plain record is parsed in place, its
+Content-Length checked against the file size before the block is buffered;
+a gzip member is inflated from the window in bounded slices.  Memory stays
+within one record plus the window.
 """
 
 from __future__ import annotations
 
 import gzip
+import os
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator, Optional
 
 from .errors import BadOffset, GzipCorrupt, IoFailure, LengthMismatch, MalformedHeader
@@ -20,8 +26,12 @@ from .iostats import IoTracker
 MANDATORY = ("warc-record-id", "content-length", "warc-date", "warc-type")
 
 GZIP_MAGIC = b"\x1f\x8b"
-_CRLF = b"\r\n"
+_VERSION_LINES = (b"WARC/1.0\r\n", b"WARC/1.1\r\n")
+_WS = " \t\n\r\x0b\x0c"  # what bytes.strip() strips
+GZIP_LEVEL = 6
 _READ_CHUNK = 1 << 20
+_INFLATE_SLICE = 1 << 16  # bounds the copy zlib makes of the input after a member
+_MAX_HEADER = 1 << 20
 
 
 @dataclass
@@ -34,14 +44,6 @@ class WarcRecord:
     content_length: int
     header_fields: list[tuple[str, str]] = field(default_factory=list)
     block: bytes = b""
-
-    def header(self, name: str) -> Optional[str]:
-        """First value of a header, case-insensitive, or None."""
-        low = name.lower()
-        for k, v in self.header_fields:
-            if k.lower() == low:
-                return v
-        return None
 
 
 @dataclass(frozen=True)
@@ -81,48 +83,53 @@ def make_record(
     )
 
 
-def _parse_record_bytes(raw: bytes, file: str, offset: int) -> tuple[WarcRecord, int]:
-    """Parse one record from raw, returning (record, bytes consumed)."""
-    if not raw.startswith(b"WARC/1.0\r\n") and not raw.startswith(b"WARC/1.1\r\n"):
-        raise MalformedHeader(file, offset, "missing WARC/1.x version line")
-    pos = raw.index(_CRLF) + 2
+def _parse_header(raw: bytes, pos: int, file: str, offset: int) -> Optional[tuple]:
+    """Parse the version line and header fields of the record at raw[pos:].
+
+    Returns (fields, fields by lowercased name, header length including the
+    blank line, Content-Length), or None when raw ends before the header does.
+    """
+    if raw[pos : pos + 10] not in _VERSION_LINES:
+        if len(raw) - pos >= 10:
+            raise MalformedHeader(file, offset, "missing WARC/1.x version line")
+        return None
+    end = raw.find(b"\r\n\r\n", pos + 8)
+    if end < 0:
+        return None
     fields: list[tuple[str, str]] = []
-    while True:
-        end = raw.find(_CRLF, pos)
-        if end < 0:
-            raise MalformedHeader(file, offset, "unterminated header")
-        line = raw[pos:end]
-        pos = end + 2
-        if not line:
-            break
-        if line[:1] in b" \t" and fields:  # RFC 2822 continuation
+    lines = raw[pos + 10 : end].decode("latin-1").split("\r\n") if end > pos + 8 else ()
+    for line in lines:
+        if line[:1] in (" ", "\t") and fields:  # RFC 2822 continuation
             name, value = fields[-1]
-            fields[-1] = (name, value + " " + line.strip().decode("latin-1"))
+            fields[-1] = (name, value + " " + line.strip(_WS))
             continue
-        sep = line.find(b":")
-        if sep < 0:
+        name, sep, value = line.partition(":")
+        if not sep:
             raise MalformedHeader(file, offset, f"bad header line {line[:40]!r}")
-        fields.append((line[:sep].decode("latin-1"), line[sep + 1 :].strip().decode("latin-1")))
+        fields.append((name, value.strip(_WS)))
 
     by_name = {k.lower(): v for k, v in fields}
     for name in MANDATORY:
         if name not in by_name:
             raise MalformedHeader(file, offset, f"missing mandatory header {name}")
-    try:
-        length = int(by_name["content-length"])
-    except ValueError:
-        raise MalformedHeader(file, offset, "non-numeric Content-Length") from None
+    length = by_name["content-length"]
+    if not (length.isascii() and length.isdigit()):
+        raise MalformedHeader(file, offset, f"bad Content-Length {length[:40]!r}")
+    return fields, by_name, end + 4 - pos, int(length)
 
-    if len(raw) - pos < length:
-        raise LengthMismatch(
-            file, offset, f"block shorter than Content-Length {length}: {len(raw) - pos} available"
-        )
-    block = raw[pos : pos + length]
-    pos += length
-    if raw[pos : pos + 4] != b"\r\n\r\n":
+
+def _take_block(
+    raw: bytes, pos: int, head: tuple, file: str, offset: int
+) -> tuple[WarcRecord, int]:
+    """Cut out the block of the record whose header head was parsed at raw[pos:];
+    returns the record and the index in raw just past its terminator."""
+    fields, by_name, header_len, length = head
+    body = pos + header_len
+    end = body + length
+    if len(raw) < end:
+        raise LengthMismatch(file, offset, f"block shorter than Content-Length {length}")
+    if raw[end : end + 4] != b"\r\n\r\n":
         raise MalformedHeader(file, offset, "missing CRLF CRLF record terminator")
-    pos += 4
-
     record = WarcRecord(
         record_id=by_name["warc-record-id"],
         record_type=by_name["warc-type"].lower(),
@@ -131,82 +138,20 @@ def _parse_record_bytes(raw: bytes, file: str, offset: int) -> tuple[WarcRecord,
         content_type=by_name.get("content-type", ""),
         content_length=length,
         header_fields=fields,
-        block=block,
+        block=raw[body:end],
     )
-    return record, pos
+    return record, end + 4
 
 
-def detect_mode(file) -> str:
-    with open(file, "rb") as fh:
-        magic = fh.read(2)
-    return "member_gzip" if magic == GZIP_MAGIC else "plain"
-
-
-def _scan_plain(fh, file: str) -> Iterator[tuple[WarcRecord, RecordLocation]]:
-    buf = bytearray()
-    base = 0  # absolute offset of buf[0]
-    eof = False
-    while True:
-        # buffer until one whole record parses (or the file truly ends)
-        while True:
-            if buf:
-                try:
-                    record, consumed = _parse_record_bytes(bytes(buf), file, base)
-                    break
-                except (LengthMismatch, MalformedHeader):
-                    if eof:
-                        raise
-            elif eof:
-                return
-            chunk = fh.read(_READ_CHUNK)
-            if chunk:
-                buf += chunk
-            else:
-                eof = True
-        yield record, RecordLocation(file, base, consumed)
-        del buf[:consumed]
-        base += consumed
-
-
-def _scan_member_gzip(fh, file: str) -> Iterator[tuple[WarcRecord, RecordLocation]]:
-    buf = b""
-    member_start = 0
-    eof = False
-    while True:
-        # Keep at least two bytes buffered so the magic check never sees a
-        # member header split across read-chunk boundaries.
-        while len(buf) < 2 and not eof:
-            chunk = fh.read(_READ_CHUNK)
-            if not chunk:
-                eof = True
-            else:
-                buf += chunk
-        if not buf and eof:
-            return
-        if buf[:2] != GZIP_MAGIC:
-            raise GzipCorrupt(file, member_start, "missing gzip magic")
-        decomp = zlib.decompressobj(wbits=31)
-        parts = []
-        consumed = 0
-        while not decomp.eof:
-            if not buf:
-                chunk = fh.read(_READ_CHUNK)
-                if not chunk:
-                    raise GzipCorrupt(file, member_start, "truncated member")
-                buf = chunk
-            try:
-                parts.append(decomp.decompress(buf))
-            except zlib.error as exc:
-                raise GzipCorrupt(file, member_start, str(exc)) from None
-            leftover = decomp.unused_data
-            consumed += len(buf) - len(leftover)
-            buf = leftover
-        out = parts[0] if len(parts) == 1 else b"".join(parts)
-        record, used = _parse_record_bytes(out, file, member_start)
-        if used != len(out):
-            raise MalformedHeader(file, member_start, "trailing bytes after record in gzip member")
-        yield record, RecordLocation(file, member_start, consumed)
-        member_start += consumed
+def _parse_record(raw: bytes, file: str, offset: int) -> WarcRecord:
+    """Parse raw, which holds one whole record and nothing else."""
+    head = _parse_header(raw, 0, file, offset)
+    if head is None:
+        raise MalformedHeader(file, offset, "unterminated header")
+    record, end = _take_block(raw, 0, head, file, offset)
+    if end != len(raw):
+        raise LengthMismatch(file, offset, f"{len(raw) - end} bytes after the record")
+    return record
 
 
 def scan_warc(
@@ -214,14 +159,48 @@ def scan_warc(
 ) -> Iterator[tuple[WarcRecord, RecordLocation]]:
     """Yield every record of file in order together with its location."""
     file = str(file)
-    if Path(file).stat().st_size == 0:
+    size = os.path.getsize(file)
+    if size == 0:
         return
     tracker = tracker or IoTracker()
     with tracker.open(file, sequential=True) as fh:
-        if detect_mode(file) == "member_gzip":
-            yield from _scan_member_gzip(fh, file)
-        else:
-            yield from _scan_plain(fh, file)
+        buf, base, pos = b"", 0, 0  # the read window: buf[pos] is the byte at offset base + pos
+
+        def fill(need: int) -> bool:  # need bytes from pos on, with at most one read
+            nonlocal buf, base, pos
+            if len(buf) - pos < need:
+                chunk = fh.read(max(_READ_CHUNK, need - len(buf) + pos))
+                buf, base, pos = buf[pos:] + chunk, base + pos, 0
+            return len(buf) - pos >= need
+
+        gzipped = fill(2) and buf[:2] == GZIP_MAGIC
+        while fill(1):
+            start = base + pos
+            if gzipped:
+                if not fill(2) or buf[pos : pos + 2] != GZIP_MAGIC:
+                    raise GzipCorrupt(file, start, "missing gzip magic")
+                inflater = zlib.decompressobj(wbits=31)
+                parts = []
+                while not inflater.eof:
+                    if not fill(1):
+                        raise GzipCorrupt(file, start, "truncated member")
+                    piece = memoryview(buf)[pos : pos + _INFLATE_SLICE]
+                    try:
+                        parts.append(inflater.decompress(piece))
+                    except zlib.error as exc:
+                        raise GzipCorrupt(file, start, str(exc)) from None
+                    pos += len(piece) - len(inflater.unused_data)
+                record = _parse_record(b"".join(parts), file, start)
+            else:
+                while (head := _parse_header(buf, pos, file, start)) is None:
+                    if len(buf) - pos > _MAX_HEADER or not fill(len(buf) - pos + 1):
+                        raise MalformedHeader(file, start, "unterminated header")
+                _, _, header_len, length = head
+                if start + header_len + length > size:
+                    raise LengthMismatch(file, start, f"Content-Length {length} past end of file")
+                fill(header_len + length + 4)
+                record, pos = _take_block(buf, pos, head, file, start)
+            yield record, RecordLocation(file, start, base + pos - start)
 
 
 def decode_stored(raw: bytes, file: str, offset: int, mode: str = "auto") -> WarcRecord:
@@ -235,15 +214,10 @@ def decode_stored(raw: bytes, file: str, offset: int, mode: str = "auto") -> War
             raw = gzip.decompress(raw)
         except (OSError, EOFError, zlib.error) as exc:
             raise BadOffset(file, offset, f"bad gzip member: {exc}") from None
-    if not raw.startswith(b"WARC/1.0\r\n") and not raw.startswith(b"WARC/1.1\r\n"):
-        raise BadOffset(file, offset)
     try:
-        record, used = _parse_record_bytes(raw, file, offset)
+        return _parse_record(raw, file, offset)
     except MalformedHeader as exc:
         raise BadOffset(file, offset, str(exc)) from None
-    if used != len(raw):
-        raise LengthMismatch(file, offset, "record does not fill stored_length")
-    return record
 
 
 def read_record_at(
@@ -263,13 +237,13 @@ def serialize_record(record: WarcRecord) -> bytes:
     lines = [b"WARC/1.1\r\n"]
     for name, value in record.header_fields:
         lines.append(f"{name}: {value}\r\n".encode("latin-1"))
-    lines.append(_CRLF)
+    lines.append(b"\r\n")
     lines.append(record.block)
     lines.append(b"\r\n\r\n")
     return b"".join(lines)
 
 
-def write_warc(records, file, mode: str = "plain", compresslevel: int = 6) -> list[RecordLocation]:
+def write_warc(records, file, mode: str = "plain") -> list[RecordLocation]:
     """Write records as WARC/1.1, returning the location of each."""
     file = str(file)
     locations = []
@@ -279,7 +253,7 @@ def write_warc(records, file, mode: str = "plain", compresslevel: int = 6) -> li
             for record in records:
                 raw = serialize_record(record)
                 if mode == "member_gzip":
-                    raw = gzip.compress(raw, compresslevel=compresslevel, mtime=0)
+                    raw = gzip.compress(raw, compresslevel=GZIP_LEVEL, mtime=0)
                 out.write(raw)
                 locations.append(RecordLocation(file, offset, len(raw)))
                 offset += len(raw)

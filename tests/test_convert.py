@@ -196,3 +196,21 @@ def test_convert_submodule_is_not_shadowed():
 
     assert isinstance(module, types.ModuleType)
     assert callable(module.convert)
+
+
+def test_write_failure_is_io_failure_without_partial_output(tmp_path, monkeypatch):
+    import errno
+
+    import archfmt.rarc
+    from archfmt.errors import IoFailure
+
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    path = tmp_path / "in.warc"
+    write_warc(synth_records(5), path, mode="plain")
+    monkeypatch.setattr(archfmt.rarc, "encode_block", full_disk)
+    with pytest.raises(IoFailure) as exc:
+        convert([path], "rarc", tmp_path / "out")
+    assert "data.rarc" in str(exc.value)
+    assert not (tmp_path / "out" / "data.rarc").exists()

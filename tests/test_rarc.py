@@ -4,7 +4,9 @@ import struct
 
 import pytest
 
-from archfmt.errors import SyncLost
+import archfmt.rarc as rarc_mod
+from archfmt.errors import ArchfmtError, BadMagic, DecompressFailure, SyncLost
+from archfmt.iostats import IoTracker
 from archfmt.rarc import (
     encode_block,
     read_header,
@@ -170,3 +172,94 @@ def test_bytes_view_yields_equal_views(tmp_path):
         # detach before the next block recycles the buffer
         got.append(tuple(bytes(v) if isinstance(v, memoryview) else v for v in row))
     assert got == rows
+
+
+def _block_heads(path):
+    """The file's bytes, its header length and the offset of every block head."""
+    data = path.read_bytes()
+    hlen = header_len(path)
+    heads, pos = [], hlen
+    while pos < len(data):
+        heads.append(pos)
+        pos += 20 + struct.unpack_from("<IQQ", data, pos)[2] + 16
+    return data, hlen, heads
+
+
+@pytest.mark.parametrize(
+    "where, value, error",
+    [
+        ("clen", struct.pack("<Q", 2**40), SyncLost),
+        ("codec", b"\x07", BadMagic),
+        ("count", None, DecompressFailure),
+    ],
+    ids=["clen", "codec", "count"],
+)
+def test_hostile_lengths_are_typed(tmp_path, where, value, error):
+    path = tmp_path / "h.rarc"
+    write_rarc(make_rows(50, seed=13), SCHEMA, path, rows_per_block=10)
+    data, hlen, heads = _block_heads(path)
+    data = bytearray(data)
+    if where == "clen":
+        data[hlen + 12 : hlen + 20] = value
+    elif where == "codec":
+        data[6:7] = value
+    else:  # one row more than the block holds
+        data[hlen : hlen + 4] = struct.pack("<I", struct.unpack_from("<I", data, hlen)[0] + 1)
+    path.write_bytes(bytes(data))
+    with pytest.raises(error):
+        list(read_rarc(path))
+
+
+def test_mutation_fuzz_raises_only_typed_errors(tmp_path):
+    path = tmp_path / "f.rarc"
+    write_rarc(make_rows(120, seed=31), SCHEMA, path, rows_per_block=16)
+    data, hlen, heads = _block_heads(path)
+    spots = list(range(hlen)) + [h + i for h in heads for i in range(20)]
+    bad = tmp_path / "bad.rarc"
+    rng = random.Random(2024)
+    for _ in range(300):
+        mutated = bytearray(data)
+        at = rng.choice(spots)
+        mutated[at] = (mutated[at] + rng.randrange(1, 256)) % 256
+        bad.write_bytes(bytes(mutated))
+        for read in (lambda: read_rarc(bad), lambda: resync(bad, rng.randrange(len(data)))):
+            try:
+                for _ in read():
+                    pass
+            except ArchfmtError:
+                pass
+
+
+def test_resync_streams_and_stops_with_its_caller(tmp_path, monkeypatch):
+    monkeypatch.setattr(rarc_mod, "_READ_CHUNK", 64)
+    rows = make_rows(900, seed=8)
+    path = tmp_path / "s.rarc"
+    write_rarc(rows, SCHEMA, path, rows_per_block=64)
+    size = os.path.getsize(path)
+    tracker = IoTracker()
+    second = list(resync(path, size // 2, tracker))
+    assert second == rows[len(rows) - len(second) :] and second
+    assert tracker.bytes_read < size
+    tracker = IoTracker()
+    reader = resync(path, 0, tracker)
+    assert next(reader) == rows[0]
+    reader.close()
+    assert tracker.bytes_read < size // 2
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16, 17])
+def test_resync_partitions_with_small_read_chunks(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(rarc_mod, "_READ_CHUNK", chunk)
+    rows = make_rows(300, seed=14)
+    path = tmp_path / "c.rarc"
+    write_rarc(rows, SCHEMA, path, rows_per_block=20)
+    _, hlen, heads = _block_heads(path)
+    size = os.path.getsize(path)
+    # each block start, and one byte either side of it, splits the file
+    points = sorted({p + d for p in heads + [size] for d in (-1, 0, 1)} | {0, hlen})
+    assert list(resync(path, 0)) == rows
+    for s in points:
+        hi = list(resync(path, s))
+        # a block belongs to the reader whose range holds the marker before it
+        assert len(hi) == 20 * sum(1 for h in heads if h >= s)
+        assert hi == rows[len(rows) - len(hi) :]

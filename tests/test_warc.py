@@ -152,3 +152,29 @@ def test_member_scan_with_tiny_read_chunks(tmp_path, monkeypatch):
         monkeypatch.setattr(warc_mod, "_READ_CHUNK", chunk_size)
         got = [record.record_id for record, _ in scan_warc(path)]
         assert got == [record.record_id for record in records]
+
+
+@pytest.mark.parametrize(
+    "head, error",
+    [
+        (b"WARC/1.1\r\nWARC-Type response\r\n\r\n", MalformedHeader),
+        (
+            b"WARC/1.1\r\nWARC-Type: resource\r\nWARC-Record-ID: <urn:x>\r\n"
+            b"WARC-Date: 2018-05-21T08:00:00Z\r\nContent-Length: 1099511627776\r\n\r\n",
+            LengthMismatch,
+        ),
+    ],
+    ids=["colon-less-line", "length-past-eof"],
+)
+def test_malformed_plain_record_costs_one_window(tmp_path, head, error):
+    import archfmt.warc as warc_mod
+    from archfmt.iostats import IoTracker
+
+    path = tmp_path / "bad.warc"
+    write_warc(synth_records(40), path, mode="plain")
+    filler = path.read_bytes()
+    path.write_bytes(head + filler * ((4 << 20) // len(filler) + 1))
+    tracker = IoTracker()
+    with pytest.raises(error):
+        list(scan_warc(path, tracker))
+    assert tracker.bytes_read <= 2 * warc_mod._READ_CHUNK
