@@ -198,59 +198,73 @@ def _truncate_max(b: bytes) -> Optional[bytes]:
     return None  # all 0xFF: no finite upper bound
 
 
-def _full_bitmap(row_count: int) -> bytes:
-    full, rem = divmod(row_count, 8)
-    return b"\xff" * full + (bytes([(1 << rem) - 1]) if rem else b"")
-
-
-def _decode_chunk(
-    raw: bytes, col: Column, row_count: int, bytes_view: bool = False
-) -> list:
+def _decode_chunk(raw: bytes, col: Column, row_count: int, bytes_view: bool = False) -> list:
+    """The row_count values of one raw chunk: None where the bitmap marks a null."""
     bitmap_len = (row_count + 7) // 8
-    bitmap = raw[:bitmap_len]
+    bits = int.from_bytes(raw[:bitmap_len], "little")
+    if len(raw) < bitmap_len or bits >> row_count:
+        raise DecompressFailure(f"chunk does not hold a bitmap of {row_count} rows")
+    present = bits.bit_count()
+    if present < row_count and not col.nullable:
+        raise DecompressFailure(f"null in non-nullable column {col.name}")
     if col.ctype == "INT64":
-        if bitmap == _full_bitmap(row_count):
-            return list(struct.unpack_from(f"<{row_count}q", raw, bitmap_len))
-        present_idx = [i for i in range(row_count) if bitmap[i >> 3] & (1 << (i & 7))]
-        values: list = [None] * row_count
-        decoded = struct.unpack_from(f"<{len(present_idx)}q", raw, bitmap_len)
-        for i, v in zip(present_idx, decoded):
-            values[i] = v
-        return values
-    is_str = col.ctype == "STRING"
-    copy = not bytes_view
-    unpack_len = _LEN_STRUCT.unpack_from
-    # slice through a memoryview: avoids materializing intermediate copies
-    # of the (potentially large) chunk body
-    view = memoryview(raw)[bitmap_len:]
-    if bitmap == _full_bitmap(row_count):
+        values = list(struct.unpack_from(f"<{present}q", raw, bitmap_len))
+        pos = bitmap_len + 8 * present
+    else:
+        is_str = col.ctype == "STRING"
+        unpack_len = _LEN_STRUCT.unpack_from
+        # slice through a memoryview: avoids materializing intermediate copies
+        # of the (potentially large) chunk body
+        view = memoryview(raw)
         values = []
-        pos = 0
-        for _ in range(row_count):
+        pos = bitmap_len
+        for _ in range(present):
             (n,) = unpack_len(view, pos)
             pos += 4
             chunk = view[pos : pos + n]
             pos += n
-            values.append(
-                str(chunk, "utf-8") if is_str else (bytes(chunk) if copy else chunk)
-            )
+            values.append(str(chunk, "utf-8") if is_str else (chunk if bytes_view else bytes(chunk)))
+    if pos != len(raw):
+        raise DecompressFailure(f"chunk holds {len(raw) - pos} bytes past its values")
+    if present == row_count:
         return values
-    present_idx = [i for i in range(row_count) if bitmap[i >> 3] & (1 << (i & 7))]
-    values = [None] * row_count
-    pos = 0
-    for i in present_idx:
-        (n,) = unpack_len(view, pos)
-        pos += 4
-        chunk = view[pos : pos + n]
-        pos += n
-        values[i] = str(chunk, "utf-8") if is_str else (bytes(chunk) if copy else chunk)
-    return values
+    it = iter(values)  # scattered to the rows the bitmap marks present
+    return [next(it) if raw[i >> 3] >> (i & 7) & 1 else None for i in range(row_count)]
 
 
 # --- footer serialization ----------------------------------------------------
 
 _CODEC_ID = {"none": 0, "gzip": 1}
 _CODEC_NAME = {v: k for k, v in _CODEC_ID.items()}
+_MAX_INFLATE = 1032  # deflate expands its input at most about 1032-fold
+# what a hostile chunk or block raises in decode; readers add its file@offset
+_DECODE_ERRORS = (struct.error, UnicodeDecodeError, IndexError, DecompressFailure)
+
+
+def compress(raw: bytes, codec: str, level: int) -> bytes:
+    """The stored form of one CARC chunk or RARC block."""
+    return zlib.compress(raw, level) if codec == "gzip" else raw
+
+
+def inflate(stored: bytes, ulen: int, codec: str) -> bytes:
+    """The ulen raw bytes of one stored CARC chunk or RARC block.
+
+    ulen is checked against len(stored) and the codec before it sizes any
+    buffer; errors carry no location, callers add theirs.
+    """
+    clen = len(stored)
+    if ulen != clen if codec == "none" else ulen > _MAX_INFLATE * clen + 64:
+        raise DecompressFailure(f"{ulen} bytes cannot be {clen} {codec} bytes")
+    if codec == "none":
+        return stored
+    try:
+        # exact bufsize: avoids repeated realloc on large units
+        raw = zlib.decompress(stored, zlib.MAX_WBITS, ulen or 1)
+    except zlib.error as exc:
+        raise DecompressFailure(str(exc)) from None
+    if len(raw) != ulen:
+        raise DecompressFailure(f"inflated to {len(raw)} bytes, not {ulen}")
+    return raw
 
 
 def _pack_scalar(v) -> bytes:
@@ -304,29 +318,26 @@ def _deserialize_footer(raw: bytes) -> CarcFooter:
         (n,) = struct.unpack_from("<I", raw, pos + 1)
         fields[tag] = raw[pos + 5 : pos + 5 + n]
         pos += 5 + n
-    try:
-        schema = CarcSchema.from_text(fields[1].decode("utf-8"))
-        ncols = len(schema.columns)
-        graw = fields[2]
-        (ngroups,) = struct.unpack_from("<I", graw, 0)
-        gpos = 4
-        groups = []
-        for _ in range(ngroups):
-            (row_count,) = struct.unpack_from("<Q", graw, gpos)
-            gpos += 8
-            chunks = []
-            for _ in range(ncols):
-                off, clen, ulen, nulls = struct.unpack_from("<QQQQ", graw, gpos)
-                gpos += 32
-                mn, gpos = _unpack_scalar(graw, gpos)
-                mx, gpos = _unpack_scalar(graw, gpos)
-                chunks.append(ChunkMeta(off, clen, ulen, nulls, mn, mx))
-            groups.append(RowGroupMeta(row_count, chunks))
-        (total_rows,) = struct.unpack_from("<Q", fields[3], 0)
-        sort_key = fields[4].decode("utf-8") or None
-        codec = _CODEC_NAME[fields[5][0]]
-    except (KeyError, struct.error, IndexError) as exc:
-        raise FooterCorrupt(f"cannot decode footer: {exc}") from None
+    schema = CarcSchema.from_text(fields[1].decode("utf-8"))
+    ncols = len(schema.columns)
+    graw = fields[2]
+    (ngroups,) = struct.unpack_from("<I", graw, 0)
+    gpos = 4
+    groups = []
+    for _ in range(ngroups):
+        (row_count,) = struct.unpack_from("<Q", graw, gpos)
+        gpos += 8
+        chunks = []
+        for _ in range(ncols):
+            off, clen, ulen, nulls = struct.unpack_from("<QQQQ", graw, gpos)
+            gpos += 32
+            mn, gpos = _unpack_scalar(graw, gpos)
+            mx, gpos = _unpack_scalar(graw, gpos)
+            chunks.append(ChunkMeta(off, clen, ulen, nulls, mn, mx))
+        groups.append(RowGroupMeta(row_count, chunks))
+    (total_rows,) = struct.unpack_from("<Q", fields[3], 0)
+    sort_key = fields[4].decode("utf-8") or None
+    codec = _CODEC_NAME[fields[5][0]]
     return CarcFooter(schema, groups, total_rows, sort_key, codec)
 
 
@@ -364,7 +375,7 @@ def write_carc(
             meta = RowGroupMeta(len(buffer))
             for ci, col in enumerate(schema.columns):
                 raw, nulls, mn, mx = _encode_chunk([r[ci] for r in buffer], col)
-                stored = zlib.compress(raw, compresslevel) if codec == "gzip" else raw
+                stored = compress(raw, codec, compresslevel)
                 out.write(stored)
                 meta.chunks.append(ChunkMeta(offset, len(stored), len(raw), nulls, mn, mx))
                 offset += len(stored)
@@ -401,23 +412,28 @@ def write_carc(
 def read_footer(file, tracker: Optional[IoTracker] = None) -> CarcFooter:
     tracker = tracker or IoTracker()
     with tracker.open(file) as fh:
-        return _read_footer_fh(fh, file)
+        return _read_footer_fh(fh, file)[0]
 
 
-def _read_footer_fh(fh, file) -> CarcFooter:
+def _read_footer_fh(fh, file) -> tuple[CarcFooter, int]:
+    """Returns (footer, footer offset); row-group data lies in [6, footer offset)."""
     size = Path(file).stat().st_size
     if size < 6 + TRAILER_LEN:
         raise BadMagic(f"{file}: too small for a CARC file")
     trailer = fh.pread(size - TRAILER_LEN, TRAILER_LEN)
     crc, footer_len = struct.unpack("<IQ", trailer[:12])
     if trailer[12:] != MAGIC:
-        raise BadMagic(f"{file}: trailer magic missing")
+        raise BadMagic(f"{file}@{size - 4}: trailer magic missing")
     if footer_len > size - 6 - TRAILER_LEN:
-        raise FooterCorrupt(f"{file}: footer length {footer_len} exceeds file")
-    raw = fh.pread(size - TRAILER_LEN - footer_len, footer_len)
+        raise FooterCorrupt(f"{file}@{size - TRAILER_LEN}: footer length {footer_len} exceeds file")
+    start = size - TRAILER_LEN - footer_len
+    raw = fh.pread(start, footer_len)
     if zlib.crc32(raw) != crc:
-        raise FooterCorrupt(f"{file}: footer CRC mismatch")
-    return _deserialize_footer(raw)
+        raise FooterCorrupt(f"{file}@{start}: footer CRC mismatch")
+    try:
+        return _deserialize_footer(raw), start
+    except (KeyError, struct.error, IndexError, UnicodeDecodeError, SchemaMismatch) as exc:
+        raise FooterCorrupt(f"{file}@{start}: cannot decode footer: {exc!r}") from None
 
 
 def _stats_comparable(col: Column, sample) -> bool:
@@ -490,7 +506,7 @@ def read_carc(
     tracker = tracker or IoTracker()
     file = str(file)
     with tracker.open(file) as fh:
-        footer = _read_footer_fh(fh, file)
+        footer, data_end = _read_footer_fh(fh, file)
         schema = footer.schema
         names = [c.name for c in schema.columns] if projection is None else projection
         proj_idx = [schema.index_of(name) for name in names]
@@ -502,18 +518,16 @@ def read_carc(
             decoded = {}
             for ci in need_idx:
                 c = g.chunks[ci]
-                raw = fh.pread(c.chunk_offset, c.chunk_compressed_len)
-                if footer.codec == "gzip":
-                    try:
-                        # exact bufsize: avoids repeated realloc on large chunks
-                        raw = zlib.decompress(raw, zlib.MAX_WBITS, c.chunk_uncompressed_len or 1)
-                    except zlib.error as exc:
-                        raise DecompressFailure(f"{file} group {gi}: {exc}") from None
-                if len(raw) != c.chunk_uncompressed_len:
-                    raise DecompressFailure(f"{file} group {gi}: chunk length mismatch")
-                decoded[ci] = _decode_chunk(
-                    raw, schema.columns[ci], g.row_count, bytes_view
-                )
+                off, clen = c.chunk_offset, c.chunk_compressed_len
+                if not 6 <= off <= data_end - clen:
+                    raise FooterCorrupt(f"{file}@{off}: chunk of {clen} bytes runs outside the data")
+                try:
+                    decoded[ci] = _decode_chunk(
+                        inflate(fh.pread(off, clen), c.chunk_uncompressed_len, footer.codec),
+                        schema.columns[ci], g.row_count, bytes_view,
+                    )
+                except _DECODE_ERRORS as exc:
+                    raise DecompressFailure(f"{file}@{off}: {exc}") from None
             cols = [decoded[ci] for ci in proj_idx]
             rows = zip(*cols) if cols else repeat((), g.row_count)
             if pred is None:

@@ -1,6 +1,7 @@
 """Command-line entry point: gen, index, convert, query, bench, report.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 I/O error.
+Exit codes: 0 success, 1 usage error, 2 data error (or any other failure),
+3 I/O error.
 Machine-readable output goes to stdout; diagnostics to stderr.
 """
 
@@ -214,15 +215,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except IoFailure as exc:
+    except (IoFailure, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except ArchfmtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        detail = exc if isinstance(exc, ArchfmtError) else f"{type(exc).__name__}: {exc}"
+        print(f"error: {detail}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

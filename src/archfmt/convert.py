@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from . import carc, rarc, warc
 from .carc import CarcSchema, Column
 from .cdx import canonicalize_url, parse_warc_date
-from .errors import ArchfmtError, Excluded, IoFailure
+from .errors import ArchfmtError, IoFailure
 from .httpmsg import http_fields, payload_digest
 
 CANONICAL_SCHEMA = CarcSchema(
@@ -65,12 +65,8 @@ class CanonicalRecord(NamedTuple):
     payload: bytes
 
 
-def to_canonical(
-    record: warc.WarcRecord, include_types: frozenset = frozenset({"response"})
-) -> CanonicalRecord:
-    """Flatten one WARC record; raises Excluded for types outside the set."""
-    if record.record_type not in include_types:
-        raise Excluded(record.record_type)
+def to_canonical(record: warc.WarcRecord) -> CanonicalRecord:
+    """Flatten one WARC record."""
     status, mime, headers, payload = http_fields(record.content_type, record.block)
     url = record.target_uri
     return CanonicalRecord(
@@ -193,11 +189,10 @@ def convert(
         for file in warc_files:
             for record, _loc in warc.scan_warc(file):
                 counts["in"] += 1
-                try:
-                    row = to_canonical(record)
-                except Excluded:
+                if record.record_type != "response":
                     counts["excluded"] += 1
                     continue
+                row = to_canonical(record)
                 if timestamp_as_text:
                     row = row[:2] + (record.warc_date_raw,) + row[3:]
                 counts["out"] += 1

@@ -102,10 +102,6 @@ class SyncLost(LocatedError):
 
 # --- convert / query / bench ---
 
-class Excluded(ArchfmtError):
-    pass
-
-
 class BackendUnavailable(ArchfmtError):
     pass
 

@@ -8,7 +8,8 @@ the sync marker.  Sequential reads follow the lengths; split readers
 recover block boundaries by searching for the marker, which makes the
 format splittable and concatenatable.  Both go through one block walker,
 which checks every length against the file size and the codec before it
-reads or inflates anything.
+sizes a buffer by it.  Blocks are compressed and inflated by the codec
+functions of carc, which CARC chunks use too.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from __future__ import annotations
 import os
 import random
 import struct
-import zlib
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .carc import _CODEC_ID, _CODEC_NAME, CarcSchema, _check_value
+from .carc import _CODEC_ID, _CODEC_NAME, _DECODE_ERRORS, CarcSchema, _check_value, compress, inflate
 from .errors import BadMagic, DecompressFailure, SchemaMismatch, SyncLost
 from .iostats import IoTracker, Measurement
 
@@ -30,7 +30,6 @@ _HEADER = struct.Struct("<4sHBI")  # magic, version, codec id, schema text lengt
 _BLOCK_HEAD = struct.Struct("<IQQ")
 _READ_CHUNK = 1 << 16  # marker search read size
 _MAX_SCHEMA = 1 << 20
-_MAX_INFLATE = 1032  # deflate expands its input at most about 1032-fold
 
 
 def encode_rows(rows: Sequence[Sequence], schema: CarcSchema) -> bytes:
@@ -92,7 +91,7 @@ def encode_block(
     rows: Sequence[Sequence], schema: CarcSchema, codec: str, sync: bytes, compresslevel: int = 3
 ) -> bytes:
     raw = encode_rows(rows, schema)
-    stored = zlib.compress(raw, compresslevel) if codec == "gzip" else raw
+    stored = compress(raw, codec, compresslevel)
     return _BLOCK_HEAD.pack(len(rows), len(raw), len(stored)) + stored + sync
 
 
@@ -148,8 +147,9 @@ def _blocks(fh, file: str, header, offset: int, size: int, bytes_view: bool) -> 
     """Decode the blocks from offset, where fh stands, to the end of the file:
     one list of rows per block.
 
-    Each length in a block head is checked against the file size and the
-    codec before anything is read for it.
+    A block's stored length is checked against the file size before it is
+    read, and its sync marker before inflate checks its uncompressed length,
+    so a false marker tried by resync fails with SyncLost.
     """
     schema, codec, sync, _ = header
     while True:
@@ -162,17 +162,12 @@ def _blocks(fh, file: str, header, offset: int, size: int, bytes_view: bool) -> 
         end = offset + _BLOCK_HEAD.size + clen
         if end + SYNC_LEN > size:
             raise SyncLost(file, offset, f"block of {clen} bytes runs past the end of the file")
-        if ulen != clen if codec == "none" else ulen > _MAX_INFLATE * clen + 64:
-            raise DecompressFailure(f"{file}@{offset}: {ulen} bytes cannot be {clen} {codec} bytes")
         stored = fh.read(clen)
         if fh.read(SYNC_LEN) != sync:
             raise SyncLost(file, end, "sync marker mismatch")
         try:
-            raw = zlib.decompress(stored, zlib.MAX_WBITS, ulen or 1) if codec == "gzip" else stored
-            if len(raw) != ulen:
-                raise DecompressFailure("uncompressed length mismatch")
-            rows = decode_rows(raw, schema, count, bytes_view)
-        except (zlib.error, struct.error, UnicodeDecodeError, IndexError, DecompressFailure) as exc:
+            rows = decode_rows(inflate(stored, ulen, codec), schema, count, bytes_view)
+        except _DECODE_ERRORS as exc:
             raise DecompressFailure(f"{file}@{offset}: {exc}") from None
         yield rows
         offset = end + SYNC_LEN
@@ -183,8 +178,8 @@ def read_rarc(
 ) -> Iterator[tuple]:
     """Yield all rows in write order with one sequential pass over the file.
 
-    bytes_view is forwarded to decode_rows; views stay valid only until the
-    next block is decoded.
+    bytes_view is forwarded to decode_rows; a view pins the block it was cut
+    from and stays valid for as long as it is held.
     """
     file = str(file)
     tracker = tracker or IoTracker()

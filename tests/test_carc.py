@@ -1,20 +1,29 @@
 import math
 import random
+import re
+import struct
+import zlib
 
 import pytest
 
 from archfmt.carc import (
+    MAGIC,
+    TRAILER_LEN,
     CarcFooter,
     CarcSchema,
     Column,
     RowGroupMeta,
     ScanPredicate,
+    _deserialize_footer,
+    _serialize_footer,
     plan_row_groups,
+    read_carc,
     read_carc_rows,
     read_footer,
     write_carc,
 )
 from archfmt.errors import (
+    ArchfmtError,
     BadMagic,
     FooterCorrupt,
     StatlessColumn,
@@ -347,3 +356,62 @@ def test_scan_predicate_matches():
     isin = ScanPredicate.isin("urlkey", keys)
     assert isin.values == tuple(keys)  # the planner iterates the tuple
     assert isin.matches("k999") and not isin.matches("k1000") and not isin.matches(None)
+
+
+# (field of row group 0 or of its first chunk, value) written into a footer
+# whose CRC is then recomputed; "schema" puts the value at the start of the
+# schema text
+HOSTILE_FOOTERS = [
+    ("chunk_uncompressed_len", 2**62),
+    ("chunk_uncompressed_len", 2**34),
+    ("row_count", 2**40),
+    ("row_count", 2**31),
+    ("chunk_offset", 2**63 - 1),
+    ("schema", b"\xff"),
+]
+HOSTILE_IDS = ["ulen62", "ulen34", "rows40", "rows31", "offset63", "schema_utf8"]
+
+
+def write_hostile_footer(path, field, value):
+    data = path.read_bytes()
+    (footer_len,) = struct.unpack_from("<Q", data, len(data) - 12)
+    start = len(data) - TRAILER_LEN - footer_len
+    footer = _deserialize_footer(data[start : len(data) - TRAILER_LEN])
+    group = footer.row_groups[0]
+    if field == "row_count":
+        group.row_count = value
+    elif field != "schema":
+        setattr(group.chunks[0], field, value)
+    raw = _serialize_footer(footer)
+    if field == "schema":
+        raw = raw[:5] + value + raw[5 + len(value) :]  # after the tag and length
+    path.write_bytes(data[:start] + raw + struct.pack("<IQ", zlib.crc32(raw), len(raw)) + MAGIC)
+
+
+@pytest.mark.parametrize("field, value", HOSTILE_FOOTERS, ids=HOSTILE_IDS)
+@pytest.mark.parametrize("codec", ["none", "gzip"])
+def test_hostile_footers_are_typed(tmp_path, codec, field, value):
+    path = tmp_path / "h.carc"
+    write_carc(make_rows(50, seed=13), SCHEMA, path, rows_per_group=10, codec=codec)
+    write_hostile_footer(path, field, value)
+    with pytest.raises(ArchfmtError, match=re.escape(f"{path}@")):
+        list(read_carc(path))
+
+
+@pytest.mark.parametrize("codec", ["none", "gzip"])
+def test_mutation_fuzz_raises_only_typed_errors(tmp_path, codec):
+    path = tmp_path / "f.carc"
+    write_carc(make_rows(120, seed=31), SCHEMA, path, rows_per_group=16, codec=codec)
+    data = path.read_bytes()
+    bad = tmp_path / "bad.carc"
+    rng = random.Random(2024)
+    for _ in range(300):
+        mutated = bytearray(data)
+        at = rng.randrange(len(data))
+        mutated[at] = (mutated[at] + rng.randrange(1, 256)) % 256
+        bad.write_bytes(bytes(mutated))
+        try:
+            for _ in read_carc(bad):
+                pass
+        except ArchfmtError as exc:
+            assert str(exc).startswith(f"{bad}@")

@@ -1,8 +1,11 @@
 import csv
+import shutil
 
 import pytest
 
+from archfmt import query
 from archfmt.cli import main
+from test_carc import HOSTILE_FOOTERS, HOSTILE_IDS, write_hostile_footer
 
 
 def run(capsys, *argv):
@@ -155,3 +158,25 @@ def test_query_unknown_projection_is_data_error(cli_dataset, capsys):
     assert code == 2
     assert err.startswith("error:") and "bogus" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("field, value", HOSTILE_FOOTERS, ids=HOSTILE_IDS)
+def test_query_meta_on_hostile_footer_is_data_error(cli_dataset, tmp_path, capsys, field, value):
+    capsys.readouterr()
+    path = tmp_path / "h.carc"
+    shutil.copyfile(cli_dataset["carc"], path)
+    write_hostile_footer(path, field, value)
+    code, out, err = run(capsys, "query", "meta", "--backend", "carc", "--data", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}@")
+
+
+def test_unexpected_error_exits_2(cli_dataset, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(query, "run_query", fail)
+    capsys.readouterr()
+    code, out, err = run(capsys, "query", "count", "--backend", "carc", "--data", cli_dataset["carc"])
+    assert code == 2
+    assert err == "error: ValueError: boom\n" and out == ""

@@ -12,7 +12,7 @@ from archfmt.convert import (
     parse_warc_date,
     to_canonical,
 )
-from archfmt.errors import BadDate, Excluded
+from archfmt.errors import BadDate
 from archfmt.httpmsg import payload_digest
 from archfmt.warc import make_record, scan_warc, write_warc
 
@@ -87,15 +87,10 @@ def test_to_canonical_resource_without_envelope():
         content_type="application/octet-stream",
         block=blob,
     )
-    c = to_canonical(record, include_types=frozenset({"resource"}))
+    c = to_canonical(record)
     assert c.status == -1
     assert c.http_headers is None
     assert c.payload == blob
-
-
-def test_to_canonical_request_excluded():
-    with pytest.raises(Excluded):
-        to_canonical(request_record(0))
 
 
 @pytest.mark.parametrize("target", ["carc", "rarc"])

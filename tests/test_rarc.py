@@ -263,3 +263,18 @@ def test_resync_partitions_with_small_read_chunks(tmp_path, monkeypatch, chunk):
         # a block belongs to the reader whose range holds the marker before it
         assert len(hi) == 20 * sum(1 for h in heads if h >= s)
         assert hi == rows[len(rows) - len(hi) :]
+
+
+def test_resync_passes_a_false_marker_with_a_bad_length(tmp_path):
+    path = tmp_path / "x.rarc"
+    write_rarc([], SCHEMA, path, codec="none")
+    with open(path, "rb") as fh:
+        _, _, sync, hlen = read_header(fh, str(path))
+    rows = make_rows(40, seed=15)
+    # a payload that holds the marker and a block head whose ulen cannot be its clen
+    fake = sync + struct.pack("<IQQ", 1, 999, 5) + bytes(40)
+    rows[5] = rows[5][:3] + (fake,)
+    write_rarc(rows, SCHEMA, path, rows_per_block=10, codec="none")
+    false_marker = path.read_bytes().find(sync, hlen)
+    assert false_marker < _block_heads(path)[2][1]  # inside the first block
+    assert list(resync(path, false_marker)) == rows[10:]

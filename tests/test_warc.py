@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from archfmt.errors import BadOffset, GzipCorrupt, LengthMismatch, MalformedHeader
+from archfmt.errors import ArchfmtError, BadOffset, GzipCorrupt, LengthMismatch, MalformedHeader
 from archfmt.warc import make_record, read_record_at, scan_warc, write_warc
 
 from conftest import synth_records
@@ -178,3 +178,23 @@ def test_malformed_plain_record_costs_one_window(tmp_path, head, error):
     with pytest.raises(error):
         list(scan_warc(path, tracker))
     assert tracker.bytes_read <= 2 * warc_mod._READ_CHUNK
+
+
+@pytest.mark.parametrize("mode", ["plain", "member_gzip"])
+def test_mutation_fuzz_raises_only_typed_errors(tmp_path, mode):
+    path = tmp_path / f"f.{mode}.warc"
+    locs = write_warc(synth_records(12, seed=5), path, mode=mode)
+    data = path.read_bytes()
+    bad = tmp_path / "bad.warc"
+    rng = random.Random(2024)
+    for _ in range(400):
+        mutated = bytearray(data)
+        at = rng.randrange(len(data))
+        mutated[at] = (mutated[at] + rng.randrange(1, 256)) % 256
+        bad.write_bytes(bytes(mutated))
+        loc = rng.choice(locs)
+        for read in (lambda: list(scan_warc(bad)), lambda: read_record_at(bad, loc)):
+            try:
+                read()
+            except ArchfmtError:
+                pass
