@@ -2,8 +2,8 @@
 containers, with a uniform query layer and a benchmark harness."""
 
 from .carc import CarcSchema, Column, ScanPredicate, plan_row_groups, read_carc, write_carc
-from .cdx import build_cdx, canonicalize_url, fetch_records, parse_cdx, parse_timestamp14, timestamp14_of
-from .convert import CANONICAL_SCHEMA, CanonicalRecord, to_canonical
+from .cdx import build_cdx, fetch_records, parse_cdx, parse_timestamp14, timestamp14_of
+from .convert import CANONICAL_SCHEMA, CanonicalRecord, canonicalize_url, to_canonical
 from .iostats import IoTracker, Measurement
 from .query import DatasetPaths, QuerySpec, extract_links, extract_text, run_query, scan_extract
 from .rarc import read_rarc, resync, write_rarc

@@ -16,6 +16,7 @@ import random
 import statistics
 import string
 import uuid
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -169,7 +170,7 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> list[str]:
 
 def selectivity_ranges(cdx_path, targets: Sequence[float]) -> list[tuple[int, int]]:
     """Time ranges whose matched fraction is within 10% relative of each target."""
-    stamps = sorted(cdx.parse_timestamp14(e.timestamp14) for e in cdx.parse_cdx(cdx_path))
+    stamps = sorted(e.timestamp for e in cdx.parse_cdx(cdx_path))
     n = len(stamps)
     out = []
     for s in targets:
@@ -197,11 +198,8 @@ def selectivity_ranges(cdx_path, targets: Sequence[float]) -> list[tuple[int, in
 
 def selectivity_url_lists(cdx_path, targets: Sequence[float], seed: int = 0) -> list[tuple[str, ...]]:
     """URL-key lists hitting each target selectivity, sampled deterministically."""
-    counts: dict[str, int] = {}
-    total = 0
-    for e in cdx.parse_cdx(cdx_path):
-        counts[e.urlkey] = counts.get(e.urlkey, 0) + 1
-        total += 1
+    counts = Counter(e.urlkey for e in cdx.parse_cdx(cdx_path))  # first-seen order
+    total = counts.total()
     keys = list(counts)
     random.Random(seed).shuffle(keys)
     out = []
@@ -273,11 +271,8 @@ def _task_specs(task: str, config: SuiteConfig) -> list[tuple[float, Optional[Qu
         lists = selectivity_url_lists(cdx_path, config.selectivities, config.seed)
         return [(s, QuerySpec(kind, urlkeys=u)) for s, u in zip(config.selectivities, lists)]
     if task == "single_url":
-        total = 0
-        counts: dict[str, int] = {}
-        for e in cdx.parse_cdx(cdx_path):
-            counts[e.urlkey] = counts.get(e.urlkey, 0) + 1
-            total += 1
+        counts = Counter(e.urlkey for e in cdx.parse_cdx(cdx_path))
+        total = counts.total()
         key = sorted(counts)[random.Random(config.seed).randrange(len(counts))]
         return [(counts[key] / total, QuerySpec("records", urlkeys=(key,)))]
     raise EquivalenceFailure(f"unknown task {task!r}")

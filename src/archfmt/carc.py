@@ -275,6 +275,9 @@ def _pack_scalar(v) -> bytes:
     return b"\x02" + struct.pack("<I", len(v)) + v
 
 
+_STAT_TYPE = {"INT64": int, "STRING": bytes, "BYTES": type(None)}  # of a chunk's min/max
+
+
 def _unpack_scalar(raw: bytes, pos: int):
     kind = raw[pos]
     pos += 1
@@ -333,9 +336,15 @@ def _deserialize_footer(raw: bytes) -> CarcFooter:
             gpos += 32
             mn, gpos = _unpack_scalar(graw, gpos)
             mx, gpos = _unpack_scalar(graw, gpos)
+            col = schema.columns[len(chunks)]
+            if not all(v is None or type(v) is _STAT_TYPE[col.ctype] for v in (mn, mx)):
+                raise FooterCorrupt(f"min/max of {col.ctype} column {col.name}: {mn!r}, {mx!r}")
             chunks.append(ChunkMeta(off, clen, ulen, nulls, mn, mx))
         groups.append(RowGroupMeta(row_count, chunks))
     (total_rows,) = struct.unpack_from("<Q", fields[3], 0)
+    group_rows = sum(g.row_count for g in groups)
+    if group_rows != total_rows:
+        raise FooterCorrupt(f"row groups hold {group_rows} rows, not {total_rows}")
     sort_key = fields[4].decode("utf-8") or None
     codec = _CODEC_NAME[fields[5][0]]
     return CarcFooter(schema, groups, total_rows, sort_key, codec)
@@ -432,7 +441,7 @@ def _read_footer_fh(fh, file) -> tuple[CarcFooter, int]:
         raise FooterCorrupt(f"{file}@{start}: footer CRC mismatch")
     try:
         return _deserialize_footer(raw), start
-    except (KeyError, struct.error, IndexError, UnicodeDecodeError, SchemaMismatch) as exc:
+    except (KeyError, struct.error, IndexError, UnicodeDecodeError, SchemaMismatch, FooterCorrupt) as exc:
         raise FooterCorrupt(f"{file}@{start}: cannot decode footer: {exc!r}") from None
 
 

@@ -1,109 +1,67 @@
 """Plain-text CDX index: build from WARC files, parse, and fetch by offset.
 
 Nine space-delimited fields per line (" CDX N b a m s k S V g" header):
-urlkey, 14-digit timestamp, original URL, MIME, status, payload digest,
-stored length, offset, filename.  Lines are sorted by (urlkey, timestamp).
+urlkey, timestamp, original URL, MIME, status, payload digest, stored
+length, offset, filename.  The timestamp is YYYYMMDDhhmmss, with the
+milliseconds appended (17 digits) when they are not zero.  Lines are sorted
+by (urlkey, timestamp).
+
+A :class:`CdxEntry` holds the canonical values of the columns a line carries
+(``CDX_COLUMNS``, read by canonical column name): a projection of
+:func:`convert.to_canonical`'s row, plus where the record is stored.  Only
+this module knows the line: :meth:`CdxEntry.to_line` encodes it and
+:func:`parse_cdx` decodes it.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
-from urllib.parse import urlsplit
 
-from . import warc
-from .errors import BadFieldCount, BadOffset, BadTimestamp, BadDate, NotAbsoluteUrl
-from .httpmsg import http_fields, payload_digest
+from . import convert, warc
+from .convert import canonicalize_url  # noqa: F401 (the urlkey codec, importable from here)
+from .errors import BadCdxLine, BadFieldCount, BadOffset, BadTimestamp
+from .httpmsg import http_status
 from .iostats import IoTracker, Measurement
 
 CDX_HEADER = " CDX N b a m s k S V g"
+CDX_COLUMNS = ("urlkey", "url", "timestamp", "record_type", "mime", "status", "digest")
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_ISO_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}$")
-_DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
 @dataclass(frozen=True)
 class CdxEntry:
+    """One CDX line: canonical column values and the record's location."""
+
     urlkey: str
-    timestamp14: str
-    original_url: str
-    mime: str
-    status: str
+    timestamp: int  # epoch ms
+    url: str
+    mime: str  # "" when the record has none
+    status: int  # -1 when the record has none
     digest: str
     stored_length: int
     offset: int
     filename: str
+    record_type = "response"  # the index holds response records only
+
+    @property
+    def timestamp14(self) -> str:
+        """The timestamp field: 14 digits, or 17 when there are milliseconds."""
+        sec, ms = divmod(self.timestamp, 1000)
+        text = timestamp14_of(sec * 1000)
+        return f"{text}{ms:03d}" if ms else text
 
     def to_line(self) -> str:
-        fields = [
-            self.urlkey,
-            self.timestamp14,
-            self.original_url,
-            self.mime or "-",
-            self.status or "-",
-            self.digest or "-",
-            str(self.stored_length),
-            str(self.offset),
-            self.filename,
-        ]
+        status = f"{self.status:03d}" if self.status >= 0 else "-"
+        fields = (self.urlkey, self.timestamp14, self.url, self.mime or "-", status, self.digest,
+                  str(self.stored_length), str(self.offset), self.filename)
         return " ".join(f.replace(" ", "%20") for f in fields)
 
 
-def canonicalize_url(url: str) -> str:
-    """SURT-style sort key: reversed lowercase host, then path and sorted query."""
-    try:
-        parts = urlsplit(url)
-        port = parts.port  # may raise ValueError on junk ports
-    except ValueError as exc:
-        raise NotAbsoluteUrl(f"{url!r}: {exc}") from None
-    scheme = parts.scheme.lower()
-    if scheme not in ("http", "https") or not parts.hostname:
-        raise NotAbsoluteUrl(repr(url))
-    host = parts.hostname.lower()
-    if host.startswith("www."):
-        host = host[4:]
-    key = ",".join(reversed(host.split(".")))
-    if port is not None and port != _DEFAULT_PORTS[scheme]:
-        key += f":{port}"
-    key += ")"
-    key += parts.path.lower() or "/"
-    query = parts.query.lower()
-    if query:
-        key += "?" + "&".join(sorted(query.split("&")))
-    return key
-
-
 # --- timestamp codecs -------------------------------------------------------
-
-def parse_warc_date(s: str) -> int:
-    """ISO-8601 UTC ("Z") to epoch milliseconds; fraction truncated to ms."""
-    if not s.endswith("Z"):
-        raise BadDate(f"not a UTC Z timestamp: {s!r}")
-    body = s[:-1]
-    frac_ms = 0
-    if "." in body:
-        body, _, frac = body.partition(".")
-        if not frac.isdigit():
-            raise BadDate(f"bad fraction in {s!r}")
-        frac_ms = int((frac + "000")[:3])
-    # Fixed-layout parse; datetime validates the calendar fields.
-    try:
-        if _ISO_RE.match(body) is None:
-            raise ValueError(f"not YYYY-MM-DDThh:mm:ss: {body!r}")
-        dt = datetime(
-            int(body[0:4]), int(body[5:7]), int(body[8:10]),
-            int(body[11:13]), int(body[14:16]), int(body[17:19]),
-            tzinfo=timezone.utc,
-        )
-    except ValueError as exc:
-        raise BadDate(f"{s!r}: {exc}") from None
-    delta = dt - _EPOCH
-    return (delta.days * 86400 + delta.seconds) * 1000 + frac_ms
-
 
 def timestamp14_of(epoch_ms: int) -> str:
     """Epoch milliseconds to YYYYMMDDhhmmss, truncating sub-second toward zero."""
@@ -113,12 +71,13 @@ def timestamp14_of(epoch_ms: int) -> str:
     dt = _EPOCH + timedelta(seconds=sec)
     if not 1000 <= dt.year <= 9999:
         raise BadTimestamp(f"year {dt.year} outside 1000-9999")
-    return f"{dt.year:04d}{dt.month:02d}{dt.day:02d}{dt.hour:02d}{dt.minute:02d}{dt.second:02d}"
+    return "%04d%02d%02d%02d%02d%02d" % (dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second)
 
 
 def parse_timestamp14(s: str) -> int:
-    if len(s) != 14 or not s.isascii() or not s.isdigit():
-        raise BadTimestamp(f"not 14 digits: {s!r}")
+    """YYYYMMDDhhmmss, or YYYYMMDDhhmmssSSS, to epoch milliseconds."""
+    if len(s) not in (14, 17) or not s.isascii() or not s.isdigit():
+        raise BadTimestamp(f"not 14 or 17 digits: {s!r}")
     year = int(s[0:4])
     if year < 1000:
         raise BadTimestamp(f"year {year} outside 1000-9999")
@@ -130,23 +89,17 @@ def parse_timestamp14(s: str) -> int:
     except ValueError as exc:
         raise BadTimestamp(f"{s!r}: {exc}") from None
     delta = dt - _EPOCH
-    return (delta.days * 86400 + delta.seconds) * 1000
+    return (delta.days * 86400 + delta.seconds) * 1000 + int(s[14:] or 0)
 
 
 # --- index build / parse / fetch -------------------------------------------
 
 def entry_for(record: warc.WarcRecord, loc: warc.RecordLocation) -> CdxEntry:
-    status, mime, _, payload = http_fields(record.content_type, record.block)
+    """The record's canonical row, projected onto the CDX columns, at loc."""
+    row = convert.to_canonical(record)
     return CdxEntry(
-        urlkey=canonicalize_url(record.target_uri),
-        timestamp14=timestamp14_of(parse_warc_date(record.warc_date_raw)),
-        original_url=record.target_uri,
-        mime=mime or "-",
-        status=str(status) if status >= 0 else "-",
-        digest=payload_digest(payload),
-        stored_length=loc.stored_length,
-        offset=loc.offset,
-        filename=Path(loc.file).name,
+        row.urlkey, row.timestamp_ms, row.url, row.mime, row.status, row.digest,
+        loc.stored_length, loc.offset, Path(loc.file).name,
     )
 
 
@@ -158,7 +111,7 @@ def build_cdx(warc_files, out) -> int:
         for record, loc in warc.scan_warc(file):
             if record.record_type == "response":
                 entries.append(entry_for(record, loc))
-    entries.sort(key=lambda e: (e.urlkey, e.timestamp14))
+    entries.sort(key=lambda e: (e.urlkey, e.timestamp))  # the order of the line text
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CDX_HEADER + "\n")
         for entry in entries:
@@ -167,27 +120,28 @@ def build_cdx(warc_files, out) -> int:
 
 
 def parse_cdx(file) -> Iterator[CdxEntry]:
-    with open(file, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith(" CDX"):
-                continue
-            fields = line.split(" ")
-            if len(fields) != 9:
-                raise BadFieldCount(str(file), line_no, len(fields))
-            fields = [f.replace("%20", " ") for f in fields]
-            parse_timestamp14(fields[1])  # validates
-            yield CdxEntry(
-                urlkey=fields[0],
-                timestamp14=fields[1],
-                original_url=fields[2],
-                mime=fields[3],
-                status=fields[4],
-                digest=fields[5],
-                stored_length=int(fields[6]),
-                offset=int(fields[7]),
-                filename=fields[8],
-            )
+    """The entries of a CDX file; a line that does not decode is BadCdxLine."""
+    with open(file, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            try:
+                line = raw.rstrip(b"\r\n").decode("utf-8")
+                if not line or line.startswith(" CDX"):
+                    continue
+                fields = line.split(" ")
+                if len(fields) != 9:
+                    raise BadFieldCount(str(file), line_no, f"expected 9 fields, got {len(fields)}")
+                if "%20" in line:
+                    fields = [f.replace("%20", " ") for f in fields]
+                urlkey, stamp, url, mime, status, digest, length, offset, name = fields
+                if not ((length + offset).isascii() and length.isdigit() and offset.isdigit()):
+                    raise ValueError(f"length {length!r} or offset {offset!r} is not ASCII digits")
+                entry = CdxEntry(
+                    urlkey, parse_timestamp14(stamp), url, "" if mime == "-" else mime,
+                    http_status(status), digest, int(length), int(offset), name,
+                )
+            except (ValueError, BadTimestamp) as exc:
+                raise BadCdxLine(str(file), line_no, exc) from None
+            yield entry
 
 
 def iter_fetch_records(
@@ -196,19 +150,20 @@ def iter_fetch_records(
     """One positioned read per entry; records yielded in entry order."""
     warc_dir = Path(warc_dir)
     tracker = tracker or IoTracker()
-    open_files: dict[str, object] = {}
+    open_files: dict[str, tuple] = {}  # filename: (file, size)
     try:
         for entry in entries:
-            fh = open_files.get(entry.filename)
-            if fh is None:
-                path = warc_dir / entry.filename
+            path = warc_dir / entry.filename
+            if entry.filename not in open_files:
                 if not path.exists():
                     raise BadOffset(str(path), entry.offset, f"missing file for {entry.to_line()}")
-                fh = open_files[entry.filename] = tracker.open(path)
-            raw = fh.pread(entry.offset, entry.stored_length)
-            yield warc.decode_stored(raw, str(warc_dir / entry.filename), entry.offset)
+                open_files[entry.filename] = tracker.open(path), path.stat().st_size
+            fh, size = open_files[entry.filename]
+            if entry.offset + entry.stored_length > size:
+                raise BadOffset(str(path), entry.offset, f"{entry.stored_length} bytes run past {size}")
+            yield warc.decode_stored(fh.pread(entry.offset, entry.stored_length), str(path), entry.offset)
     finally:
-        for fh in open_files.values():
+        for fh, _ in open_files.values():
             fh.close()
 
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import bench, cdx, query
-from .convert import convert as _convert
+from .convert import canonicalize_url, convert as _convert, parse_warc_date
 from .errors import ArchfmtError, IoFailure
 from .query import DatasetPaths, QuerySpec
 
@@ -60,8 +60,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--warc", nargs="*", default=[], help="WARC files (warc/warc_cdx backends)")
     p.add_argument("--cdx")
     p.add_argument("--data", help="CARC or RARC file (carc/rarc backends)")
-    p.add_argument("--from", dest="time_from", help="ISO-8601Z or 14-digit timestamp, inclusive")
-    p.add_argument("--to", dest="time_to", help="ISO-8601Z or 14-digit timestamp, inclusive")
+    p.add_argument("--from", dest="time_from", help="ISO-8601Z or 14/17-digit timestamp, inclusive")
+    p.add_argument("--to", dest="time_to", help="ISO-8601Z or 14/17-digit timestamp, inclusive")
     p.add_argument("--url-file", help="one URL per line, canonicalized on load")
     p.add_argument("--projection", default=",".join(query.DEFAULT_META_PROJECTION),
                    help="comma-separated metadata columns (meta queries)")
@@ -88,11 +88,12 @@ def _build_parser() -> _Parser:
 
 
 def _parse_instant(s: str, end: bool) -> int:
-    if len(s) == 14 and s.isdigit():
-        ms = cdx.parse_timestamp14(s)
+    """Epoch ms of a bound; an end given to the second includes that whole second."""
+    if s.isdigit():
+        ms, to_second = cdx.parse_timestamp14(s), len(s) == 14
     else:
-        ms = cdx.parse_warc_date(s)
-    return ms + 999 if end else ms  # closed range at second granularity
+        ms, to_second = parse_warc_date(s), "." not in s
+    return ms + 999 if end and to_second else ms
 
 
 def _query_paths(args) -> DatasetPaths:
@@ -120,7 +121,7 @@ def _query_spec(args) -> QuerySpec:
         return QuerySpec(args.kind, time_range=(lo, hi), projection=projection)
     if args.url_file:
         with open(args.url_file, encoding="utf-8") as fh:
-            keys = tuple(cdx.canonicalize_url(line.strip()) for line in fh if line.strip())
+            keys = tuple(canonicalize_url(line.strip()) for line in fh if line.strip())
         return QuerySpec(args.kind, urlkeys=keys, projection=projection)
     return QuerySpec(args.kind, projection=projection)
 

@@ -2,7 +2,9 @@
 
 The canonical schema is shared by both containers: one row per archived
 response with the URL key, typed timestamp, HTTP metadata, payload digest,
-raw HTTP header text, and the payload bytes.
+raw HTTP header text, and the payload bytes.  :func:`to_canonical` is the
+only derivation of these columns from a record; the CDX index stores a
+projection of its row.
 """
 
 from __future__ import annotations
@@ -10,15 +12,17 @@ from __future__ import annotations
 import heapq
 import os
 import pickle
+import re
 import tempfile
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
+from urllib.parse import urlsplit
 
 from . import carc, rarc, warc
 from .carc import CarcSchema, Column
-from .cdx import canonicalize_url, parse_warc_date
-from .errors import ArchfmtError, IoFailure
+from .errors import ArchfmtError, BadDate, IoFailure, NotAbsoluteUrl
 from .httpmsg import http_fields, payload_digest
 
 CANONICAL_SCHEMA = CarcSchema(
@@ -49,6 +53,10 @@ COL = {c.name: i for i, c in enumerate(CANONICAL_SCHEMA.columns)}
 _SORT_KEYS = {"none": None, "timestamp": COL["timestamp"], "urlkey": COL["urlkey"]}
 _SPILL_BYTES = 256 << 20  # external sort chunk budget
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_ISO_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.([0-9]+))?Z")
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+
 
 class CanonicalRecord(NamedTuple):
     """One canonical row; fields in CANONICAL_SCHEMA column order."""
@@ -65,8 +73,46 @@ class CanonicalRecord(NamedTuple):
     payload: bytes
 
 
+def canonicalize_url(url: str) -> str:
+    """SURT-style sort key: reversed lowercase host, then path and sorted query."""
+    try:
+        parts = urlsplit(url)
+        port = parts.port  # may raise ValueError on junk ports
+    except ValueError as exc:
+        raise NotAbsoluteUrl(f"{url!r}: {exc}") from None
+    scheme = parts.scheme.lower()
+    if scheme not in ("http", "https") or not parts.hostname:
+        raise NotAbsoluteUrl(repr(url))
+    host = parts.hostname.lower()
+    if host.startswith("www."):
+        host = host[4:]
+    key = ",".join(reversed(host.split(".")))
+    if port is not None and port != _DEFAULT_PORTS[scheme]:
+        key += f":{port}"
+    key += ")"
+    key += parts.path.lower() or "/"
+    query = parts.query.lower()
+    if query:
+        key += "?" + "&".join(sorted(query.split("&")))
+    return key
+
+
+def parse_warc_date(s: str) -> int:
+    """ISO-8601 UTC ("Z") to epoch milliseconds; fraction truncated to ms."""
+    m = _ISO_RE.fullmatch(s)
+    if m is None:
+        raise BadDate(f"not YYYY-MM-DDThh:mm:ss[.fraction]Z in ASCII digits: {s!r}")
+    *fields, frac = m.groups()
+    try:  # datetime validates the calendar fields
+        delta = datetime(*map(int, fields), tzinfo=timezone.utc) - _EPOCH
+    except ValueError as exc:
+        raise BadDate(f"{s!r}: {exc}") from None
+    return (delta.days * 86400 + delta.seconds) * 1000 + int(f"{frac or ''}000"[:3])
+
+
 def to_canonical(record: warc.WarcRecord) -> CanonicalRecord:
-    """Flatten one WARC record."""
+    """Flatten one WARC record: the one derivation of every canonical column
+    (the CDX entry of a record is a projection of this row)."""
     status, mime, headers, payload = http_fields(record.content_type, record.block)
     url = record.target_uri
     return CanonicalRecord(

@@ -49,10 +49,14 @@ class NotAbsoluteUrl(ArchfmtError):
     pass
 
 
-class BadFieldCount(ArchfmtError):
-    def __init__(self, file, line_no, got):
-        super().__init__(f"{file}:{line_no}: expected 9 CDX fields, got {got}")
+class BadCdxLine(ArchfmtError):
+    def __init__(self, file, line_no, detail):
+        super().__init__(f"{file}:{line_no}: {detail}")
         self.line_no = line_no
+
+
+class BadFieldCount(BadCdxLine):
+    pass
 
 
 class BadTimestamp(ArchfmtError):

@@ -9,6 +9,11 @@ from typing import Optional
 _SEP = b"\r\n\r\n"
 
 
+def http_status(token: str) -> int:
+    """The status code a 3-digit ASCII token names, else -1."""
+    return int(token) if len(token) == 3 and token.isascii() and token.isdigit() else -1
+
+
 def split_http_block(block: bytes) -> tuple[int, str, Optional[str], bytes]:
     """Return (status, mime, header_text, payload) for an HTTP message block.
 
@@ -24,10 +29,8 @@ def split_http_block(block: bytes) -> tuple[int, str, Optional[str], bytes]:
         head, payload = block[:sep], block[sep + 4 :]
     text = head.decode("latin-1")
     lines = text.split("\r\n")
-    status = -1
     parts = lines[0].split(None, 2)
-    if len(parts) >= 2 and parts[1].isdigit():
-        status = int(parts[1])
+    status = http_status(parts[1]) if len(parts) >= 2 else -1
     mime = ""
     for line in lines[1:]:
         name, _, value = line.partition(":")

@@ -29,18 +29,6 @@ COLUMNS = tuple(COL)  # canonical schema order
 META_COLUMNS = tuple(c for c in COLUMNS if c not in ("payload", "http_headers"))
 DEFAULT_META_PROJECTION = ("urlkey", "timestamp", "digest")  # what the result digest hashes
 
-# Canonical columns the CDX carries, read off one index entry.
-_CDX_COLUMNS = {
-    "urlkey": attrgetter("urlkey"),
-    "url": attrgetter("original_url"),
-    "timestamp": lambda e: cdx.parse_timestamp14(e.timestamp14),
-    "record_type": lambda e: "response",
-    "mime": lambda e: "" if e.mime == "-" else e.mime,
-    "status": lambda e: int(e.status) if e.status.isdigit() else -1,
-    "digest": attrgetter("digest"),
-}
-
-
 @dataclass(frozen=True)
 class QuerySpec:
     kind: str  # count | meta | records
@@ -119,12 +107,10 @@ def _scan(
         tracker.bytes_read += Path(source).stat().st_size
         entries = cdx.parse_cdx(source)
         if pred is not None:
-            key = _CDX_COLUMNS[pred.column]
+            key = attrgetter(pred.column)
             entries = (e for e in entries if pred.matches(key(e)))
-        if all(c in _CDX_COLUMNS for c in columns):
-            getters = [_CDX_COLUMNS[c] for c in columns]
-            for e in entries:
-                yield tuple(get(e) for get in getters)
+        if all(c in cdx.CDX_COLUMNS for c in columns):
+            yield from (tuple(getattr(e, c) for c in columns) for e in entries)
             return
         paths.source("warc")  # the records are read from the WARC files
         records = cdx.iter_fetch_records(list(entries), paths.warc_dir, tracker)  # index pass first
@@ -191,7 +177,6 @@ def run_query(
 _COMMENT_RE = re.compile(rb"<!--.*?-->", re.S)
 _SCRIPT_RE = re.compile(rb"<(script|style)\b[^>]*>.*?</\1\s*>", re.S | re.I)
 _TAG_RE = re.compile(rb"<[^>]*>")
-_WS_RE = re.compile(r"\s+")
 _ENTITY_RE = re.compile(r"&(#[0-9]+|#[xX][0-9a-fA-F]+|amp|lt|gt|quot|apos);")
 _NAMED_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 _HREF_RE = re.compile(rb"""<a\s[^>]*?href\s*=\s*("[^"]*"|'[^']*'|[^\s>]+)""", re.I)
@@ -218,7 +203,7 @@ def extract_text(payload: bytes, mime: str) -> str:
     text = b.decode("utf-8", errors="replace")
     if "&" in text:
         text = _ENTITY_RE.sub(_entity_sub, text)
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 def extract_links(payload: bytes, base_url: str) -> list[str]:

@@ -372,7 +372,7 @@ HOSTILE_FOOTERS = [
 HOSTILE_IDS = ["ulen62", "ulen34", "rows40", "rows31", "offset63", "schema_utf8"]
 
 
-def write_hostile_footer(path, field, value):
+def write_hostile_footer(path, field, value, column=0):
     data = path.read_bytes()
     (footer_len,) = struct.unpack_from("<Q", data, len(data) - 12)
     start = len(data) - TRAILER_LEN - footer_len
@@ -381,7 +381,7 @@ def write_hostile_footer(path, field, value):
     if field == "row_count":
         group.row_count = value
     elif field != "schema":
-        setattr(group.chunks[0], field, value)
+        setattr(group.chunks[column], field, value)
     raw = _serialize_footer(footer)
     if field == "schema":
         raw = raw[:5] + value + raw[5 + len(value) :]  # after the tag and length
@@ -415,3 +415,25 @@ def test_mutation_fuzz_raises_only_typed_errors(tmp_path, codec):
                 pass
         except ArchfmtError as exc:
             assert str(exc).startswith(f"{bad}@")
+
+
+@pytest.mark.parametrize(
+    "column, stat",
+    [("timestamp", b"\x00" * 8), ("urlkey", 7), ("payload", b"x"), ("payload", 3)],
+)
+def test_footer_stat_of_wrong_type_is_footer_corrupt(tmp_path, column, stat):
+    path = tmp_path / "s.carc"
+    write_carc(make_rows(50, seed=13), SCHEMA, path, rows_per_group=10)
+    write_hostile_footer(path, "min", stat, column=SCHEMA.index_of(column))
+    pred = ScanPredicate.range("timestamp", 0, 10**12)
+    with pytest.raises(FooterCorrupt, match=re.escape(f"{path}@")):
+        list(read_carc(path, pred=pred))
+
+
+def test_footer_row_counts_must_sum_to_total_rows(tmp_path):
+    path = tmp_path / "r.carc"
+    write_carc(make_rows(200, seed=5), SCHEMA, path, rows_per_group=64)
+    assert sum(1 for _ in read_carc(path, projection=())) == read_footer(path).total_rows == 200
+    write_hostile_footer(path, "row_count", 2**40)
+    with pytest.raises(FooterCorrupt, match=re.escape(f"{path}@")):
+        next(read_carc(path, projection=()))

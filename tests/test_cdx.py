@@ -1,11 +1,13 @@
 import calendar
 import random
+import re
 from datetime import datetime, timezone
 
 import pytest
 
 from archfmt.cdx import (
     CDX_HEADER,
+    CdxEntry,
     build_cdx,
     canonicalize_url,
     fetch_records,
@@ -13,8 +15,8 @@ from archfmt.cdx import (
     parse_timestamp14,
     timestamp14_of,
 )
-from archfmt.errors import BadFieldCount, BadOffset, BadTimestamp, NotAbsoluteUrl
-from archfmt.warc import scan_warc, write_warc
+from archfmt.errors import BadCdxLine, BadFieldCount, BadOffset, BadTimestamp, NotAbsoluteUrl
+from archfmt.warc import make_record, scan_warc, write_warc
 
 from conftest import request_record, synth_records
 
@@ -185,3 +187,84 @@ def test_index_completeness(corpus):
     entries = list(parse_cdx(paths.cdx))
     fetched, _ = fetch_records(entries, paths.warc_dir)
     assert sorted(r.record_id for r in fetched) == sorted(scan_ids)
+
+
+def test_cdx_timestamp_has_milliseconds_only_when_nonzero():
+    assert parse_timestamp14("20180521080000500") == 1526889600500
+    assert parse_timestamp14("20180521080000") == 1526889600000
+    rng = random.Random(17)
+    stamps = [rng.randint(-30610224000000, 253402300799999) for _ in range(1500)]
+    stamps += [-500, -1000, 0, 1, 999, 1000, 1526889600500]
+    texts = []
+    for ms in stamps:
+        text = CdxEntry("k", ms, "u", "", -1, "D", 1, 0, "f").timestamp14
+        assert len(text) == (14 if ms % 1000 == 0 else 17) and text.isdigit()
+        assert text[:14] == timestamp14_of(ms - ms % 1000)
+        assert parse_timestamp14(text) == ms
+        texts.append(text)
+    # mixed 14/17-digit text sorts as the values do
+    assert sorted(texts) == [t for _, t in sorted(zip(stamps, texts))]
+
+
+def test_build_cdx_sub_second_lines_sort_and_round_trip(tmp_path):
+    dates = ["2018-05-21T08:00:01Z", "2018-05-21T08:00:00.500Z", "2018-05-21T08:00:00Z",
+             "2018-05-21T08:00:00.05Z"]
+    records = [
+        make_record(f"<urn:uuid:00000000-0000-4000-c000-00000000000{i}>", "response",
+                    "http://same.example/", date, "application/http; msgtype=response",
+                    b"HTTP/1.1 200 OK\r\n\r\n" + date.encode())
+        for i, date in enumerate(dates)
+    ]
+    path = tmp_path / "sub.warc"
+    write_warc(records, path, mode="plain")
+    out = tmp_path / "sub.cdx"
+    build_cdx([path], out)
+    lines = out.read_text().splitlines()[1:]
+    assert [ln.split(" ")[1] for ln in lines] == [
+        "20180521080000", "20180521080000050", "20180521080000500", "20180521080001"
+    ]
+    assert lines == sorted(lines)
+    entries = list(parse_cdx(out))
+    assert [e.timestamp for e in entries] == [1526889600000, 1526889600050, 1526889600500, 1526889601000]
+    assert [e.to_line() for e in entries] == lines
+
+
+def test_cdx_status_decoder_matches_http_split(tmp_path):
+    p = tmp_path / "s.cdx"
+    statuses = ["200", "²00", "20", "2000", "-", "000", "+20"]
+    p.write_text(
+        CDX_HEADER + "\n"
+        + "".join(f"com,a)/ 20180521080000 http://a.com/ - {s} D 10 0 a.warc\n" for s in statuses),
+        encoding="utf-8",
+    )
+    assert [e.status for e in parse_cdx(p)] == [200, -1, -1, -1, -1, 0, -1]
+    assert [e.mime for e in parse_cdx(p)] == [""] * len(statuses)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"a 2018052108000 u m 200 D 1 2 f",  # 13-digit timestamp
+        b"a 20180521080000 u m 200 D 1 x f",  # offset not a number
+        b"a 20180521080000 u m 200 D 1 \xd9\xa3 f",  # non-ASCII digit
+        b"a 20180521080000 u m 200 D 1 2 \xff",  # not UTF-8
+    ],
+)
+def test_parse_cdx_bad_line_is_typed(tmp_path, line):
+    p = tmp_path / "bad.cdx"
+    p.write_bytes(CDX_HEADER.encode() + b"\n" + line + b"\n")
+    with pytest.raises(BadCdxLine, match=re.escape(f"{p}:2: ")) as exc:
+        list(parse_cdx(p))
+    assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("stored_length", [10**15, 2**63])
+def test_fetch_records_length_past_end_is_bad_offset(tmp_path, stored_length):
+    import dataclasses
+
+    path = tmp_path / "one.warc.gz"
+    write_warc(synth_records(1), path, mode="member_gzip")
+    build_cdx([path], tmp_path / "one.cdx")
+    [entry] = parse_cdx(tmp_path / "one.cdx")
+    with pytest.raises(BadOffset, match=re.escape(f"{path}@0: ")):
+        fetch_records([dataclasses.replace(entry, stored_length=stored_length)], tmp_path)

@@ -180,3 +180,59 @@ def test_unexpected_error_exits_2(cli_dataset, capsys, monkeypatch):
     code, out, err = run(capsys, "query", "count", "--backend", "carc", "--data", cli_dataset["carc"])
     assert code == 2
     assert err == "error: ValueError: boom\n" and out == ""
+
+
+def test_query_count_on_footer_with_bytes_timestamp_stat_is_data_error(cli_dataset, tmp_path, capsys):
+    from archfmt.convert import COL
+
+    capsys.readouterr()
+    path = tmp_path / "t.carc"
+    shutil.copyfile(cli_dataset["carc"], path)
+    write_hostile_footer(path, "max", b"\x00" * 8, column=COL["timestamp"])
+    code, out, err = run(
+        capsys, "query", "count", "--backend", "carc", "--data", str(path),
+        "--from", "20180101000000", "--to", "20190101000000",
+    )
+    assert code == 2
+    assert err.startswith(f"error: {path}@") and out == ""
+
+
+def test_index_of_non_ascii_warc_date_is_data_error(tmp_path, capsys):
+    from archfmt.warc import make_record, write_warc
+
+    record = make_record(
+        "<urn:uuid:00000000-0000-4000-a000-000000000002>", "response", "http://d.example/",
+        "2018-05-21T08:00:00.²Z", "application/http; msgtype=response",
+        b"HTTP/1.1 200 OK\r\n\r\nhi",
+    )
+    warc = tmp_path / "d.warc"
+    write_warc([record], warc)
+    for argv in (["index", str(warc), "--out", str(tmp_path / "d.cdx")],
+                 ["query", "count", "--backend", "warc", "--warc", str(warc)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ") and "ValueError" not in err, argv
+
+
+def test_query_sub_second_bounds(tmp_path, capsys):
+    from archfmt.warc import make_record, write_warc
+
+    records = [
+        make_record(
+            f"<urn:uuid:00000000-0000-4000-a000-00000000001{i}>", "response", f"http://s{i}.example/",
+            date, "application/http; msgtype=response", b"HTTP/1.1 200 OK\r\n\r\nhi",
+        )
+        for i, date in enumerate(["2018-05-21T08:00:00Z", "2018-05-21T08:00:00.500Z",
+                                  "2018-05-21T08:00:00.999Z"])
+    ]
+    warc = tmp_path / "s.warc"
+    write_warc(records, warc)
+    assert main(["index", str(warc), "--out", str(tmp_path / "s.cdx")]) == 0
+    base = ["query", "count", "--backend", "warc_cdx", "--warc", str(warc), "--cdx", str(tmp_path / "s.cdx")]
+    for bounds, want in [
+        (("20180521080000", "20180521080000"), "3"),  # a whole second
+        (("20180521080000500", "20180521080000998"), "1"),
+        (("2018-05-21T08:00:00.001Z", "2018-05-21T08:00:00.500Z"), "1"),
+    ]:
+        capsys.readouterr()
+        code, out, _ = run(capsys, *base, "--from", bounds[0], "--to", bounds[1])
+        assert (code, out.strip()) == (0, want), bounds

@@ -1,4 +1,5 @@
 import calendar
+import dataclasses
 import random
 
 import pytest
@@ -39,7 +40,8 @@ def test_parse_warc_date_fraction_truncates():
 
 
 def test_parse_warc_date_rejects_garbage():
-    for bad in ["2018-05-20", "2018-05-20T00:00:00", "yesterday", "2018-13-01T00:00:00Z"]:
+    for bad in ["2018-05-20", "2018-05-20T00:00:00", "yesterday", "2018-13-01T00:00:00Z",
+                "２０１８-05-21T08:00:00Z"]:
         with pytest.raises(BadDate):
             parse_warc_date(bad)
 
@@ -209,3 +211,54 @@ def test_write_failure_is_io_failure_without_partial_output(tmp_path, monkeypatc
         convert([path], "rarc", tmp_path / "out")
     assert "data.rarc" in str(exc.value)
     assert not (tmp_path / "out" / "data.rarc").exists()
+
+
+def _response(status=b"200", date="2018-05-21T08:00:00Z"):
+    block = b"HTTP/1.1 " + status + b" OK\r\nContent-Type: text/html\r\n\r\n<p>x</p>"
+    return make_record(
+        "<urn:uuid:00000000-0000-4000-b000-000000000001>", "response", "http://digits.example/",
+        date, "application/http; msgtype=response", block,
+    )
+
+
+@pytest.mark.parametrize(
+    "token, status",
+    [(b"200", 200), (b"000", 0), (b"\xb200", -1), (b"12345678901234567890", -1), (b"2000", -1),
+     (b"20", -1), (b"+20", -1)],
+)
+def test_status_is_three_ascii_digits_on_every_path(tmp_path, token, status):
+    from archfmt.cdx import build_cdx, parse_cdx
+    from archfmt.query import DatasetPaths, QuerySpec, run_query
+
+    record = _response(status=token)
+    assert to_canonical(record).status == status
+    path = tmp_path / "s.warc"
+    write_warc([record], path)
+    assert build_cdx([path], tmp_path / "s.cdx") == 1
+    [entry] = parse_cdx(tmp_path / "s.cdx")
+    assert entry.status == status
+    assert entry.to_line().split(" ")[4] == (token.decode() if status >= 0 else "-")
+    paths = DatasetPaths(warc_files=(str(path),), cdx=str(tmp_path / "s.cdx"))
+    for target in ("carc", "rarc"):
+        paths = dataclasses.replace(paths, **{target: convert([path], target, tmp_path / target).output})
+    spec = QuerySpec("meta", projection=("status",))
+    for backend in ("warc", "warc_cdx", "carc", "rarc"):
+        assert run_query(spec, backend, paths).rows == [(status,)], backend
+
+
+@pytest.mark.parametrize("date", ["2018-05-21T08:00:00.²Z", "2018-05-21T08:00:00\nZ"])
+def test_warc_date_needs_ascii_digits_on_every_path(tmp_path, date):
+    from archfmt.cdx import build_cdx
+
+    record = _response(date=date)
+    with pytest.raises(BadDate):
+        parse_warc_date(date)
+    with pytest.raises(BadDate):
+        to_canonical(record)
+    path = tmp_path / "d.warc"
+    write_warc([record], path)
+    with pytest.raises(BadDate):
+        build_cdx([path], tmp_path / "d.cdx")
+    with pytest.raises(BadDate):
+        convert([path], "carc", tmp_path / "carc")
+    assert not (tmp_path / "carc" / "data.carc").exists()

@@ -237,3 +237,52 @@ def test_bad_query_spec_is_typed_error():
         QuerySpec(kind="meta", projection=("urlkey", "bogus"))
     with pytest.raises(ArchfmtError):
         QuerySpec(kind="bogus")
+
+
+def test_sub_second_record_agrees_on_all_backends(corpus, tmp_path):
+    """A WARC-Date with milliseconds keeps them on every backend, the CDX included."""
+    from archfmt.warc import make_record, scan_warc
+
+    records = [r for f in corpus["paths"].warc_files for r, _ in scan_warc(f)]
+    records.append(
+        make_record(
+            record_id="<urn:uuid:00000000-0000-4000-a000-000000000003>",
+            record_type="response",
+            target_uri="http://sub-second.example/",
+            warc_date="2018-05-21T08:00:00.500Z",
+            content_type="application/http; msgtype=response",
+            block=b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n<p>half</p>",
+        )
+    )
+    paths = make_dataset(tmp_path, records)
+    meta = QuerySpec(kind="meta")
+    assert len({run_query(meta, b, paths).record_ids_digest for b in BACKENDS}) == 1
+    window = QuerySpec(kind="count", time_range=(1526889600500, 1526889600999))
+    assert {b: run_query(window, b, paths).rows for b in BACKENDS} == {b: [1] for b in BACKENDS}
+
+
+def test_response_without_target_uri_agrees_on_all_backends(tmp_path):
+    from archfmt.warc import make_record
+
+    records = synth_records(3, seed=43)
+    records.append(
+        make_record(
+            record_id="<urn:uuid:00000000-0000-4000-a000-000000000004>",
+            record_type="response",
+            target_uri="",
+            warc_date="2018-05-21T08:00:00Z",
+            content_type="application/http; msgtype=response",
+            block=b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n<p>anon</p>",
+        )
+    )
+    paths = make_dataset(tmp_path, records)
+    spec = QuerySpec(kind="meta", projection=("urlkey", "url", "status"))
+    answers = {b: sorted(run_query(spec, b, paths).rows) for b in BACKENDS}
+    assert ("", "", 200) in answers["warc"]
+    assert all(rows == answers["warc"] for rows in answers.values())
+
+
+def test_extract_text_collapses_every_unicode_space():
+    spaces = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+    html = f"<p>{spaces}a{spaces}b &#12288; c{spaces}</p>".encode("utf-8")
+    assert extract_text(html, "text/html") == "a b c"
