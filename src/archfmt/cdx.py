@@ -4,7 +4,18 @@ Nine space-delimited fields per line (" CDX N b a m s k S V g" header):
 urlkey, timestamp, original URL, MIME, status, payload digest, stored
 length, offset, filename.  The timestamp is YYYYMMDDhhmmss, with the
 milliseconds appended (17 digits) when they are not zero.  Lines are sorted
-by (urlkey, timestamp).
+by (urlkey, timestamp).  A field escapes ``%`` as ``%25`` and then a space
+as ``%20``; the decoder undoes both in one pass, so every value round-trips.
+
+:func:`parse_cdx` is the one reader.  It reads the file once, sequentially,
+in fixed-size chunks.  Given a urlkey or timestamp predicate it checks the
+field count and decodes the predicate field of every line (a timestamp is
+compared as 17-digit text, whose order is its time order), and decodes the
+other fields only of the lines that pass.  So a predicate scan does not
+validate those fields on lines it skips; without a predicate every field of
+every line is validated.  The index is not bisected with positioned reads:
+at 10 ms a seek and 100 MiB/s, reading an 8,000-line (1.44 MB) index once
+costs 23.7 ms, and the five or more 64 KiB probes of a bisection 53 ms.
 
 A :class:`CdxEntry` holds the canonical values of the columns a line carries
 (``CDX_COLUMNS``, read by canonical column name): a projection of
@@ -21,6 +32,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from . import convert, warc
+from .carc import ScanPredicate
 from .convert import canonicalize_url  # noqa: F401 (the urlkey codec, importable from here)
 from .errors import BadCdxLine, BadFieldCount, BadOffset, BadTimestamp
 from .httpmsg import http_status
@@ -30,6 +42,7 @@ CDX_HEADER = " CDX N b a m s k S V g"
 CDX_COLUMNS = ("urlkey", "url", "timestamp", "record_type", "mime", "status", "digest")
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_READ_CHUNK = 1 << 13  # parse_cdx read size: the buffer of a plain buffered reader
 
 
 @dataclass(frozen=True)
@@ -58,7 +71,13 @@ class CdxEntry:
         status = f"{self.status:03d}" if self.status >= 0 else "-"
         fields = (self.urlkey, self.timestamp14, self.url, self.mime or "-", status, self.digest,
                   str(self.stored_length), str(self.offset), self.filename)
-        return " ".join(f.replace(" ", "%20") for f in fields)
+        return " ".join(f.replace("%", "%25").replace(" ", "%20") for f in fields)
+
+
+def _unescape(field: str) -> str:
+    """Undo to_line's escapes in one pass: %25 is %, %20 is a space.  Splitting
+    at %25 first keeps an escaped % from being read as the start of a %20."""
+    return "%".join(p.replace("%20", " ") for p in field.split("%25")) if "%" in field else field
 
 
 # --- timestamp codecs -------------------------------------------------------
@@ -74,10 +93,19 @@ def timestamp14_of(epoch_ms: int) -> str:
     return "%04d%02d%02d%02d%02d%02d" % (dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second)
 
 
-def parse_timestamp14(s: str) -> int:
-    """YYYYMMDDhhmmss, or YYYYMMDDhhmmssSSS, to epoch milliseconds."""
+def _stamp17(s: str) -> str:
+    """A timestamp field checked for 14 or 17 ASCII digits, right-padded to 17.
+
+    For stamps of the years 1000-9999 the text order of the result is the
+    order of their epoch milliseconds."""
     if len(s) not in (14, 17) or not s.isascii() or not s.isdigit():
         raise BadTimestamp(f"not 14 or 17 digits: {s!r}")
+    return s.ljust(17, "0")
+
+
+def parse_timestamp14(s: str) -> int:
+    """YYYYMMDDhhmmss, or YYYYMMDDhhmmssSSS, to epoch milliseconds."""
+    ms = int(_stamp17(s)[14:])
     year = int(s[0:4])
     if year < 1000:
         raise BadTimestamp(f"year {year} outside 1000-9999")
@@ -89,7 +117,17 @@ def parse_timestamp14(s: str) -> int:
     except ValueError as exc:
         raise BadTimestamp(f"{s!r}: {exc}") from None
     delta = dt - _EPOCH
-    return (delta.days * 86400 + delta.seconds) * 1000 + int(s[14:] or 0)
+    return (delta.days * 86400 + delta.seconds) * 1000 + ms
+
+
+_MIN_MS = parse_timestamp14("10000101000000")
+_MAX_MS = parse_timestamp14("99991231235959999")
+
+
+def _bound17(epoch_ms: int) -> str:
+    """A time bound as 17-digit stamp text, clamped to the years 1000-9999."""
+    sec, ms = divmod(min(max(epoch_ms, _MIN_MS), _MAX_MS), 1000)
+    return f"{timestamp14_of(sec * 1000)}{ms:03d}"
 
 
 # --- index build / parse / fetch -------------------------------------------
@@ -119,29 +157,83 @@ def build_cdx(warc_files, out) -> int:
     return len(entries)
 
 
-def parse_cdx(file) -> Iterator[CdxEntry]:
-    """The entries of a CDX file; a line that does not decode is BadCdxLine."""
-    with open(file, "rb") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            try:
-                line = raw.rstrip(b"\r\n").decode("utf-8")
-                if not line or line.startswith(" CDX"):
+def parse_cdx(
+    file, pred: Optional[ScanPredicate] = None, tracker: Optional[IoTracker] = None
+) -> Iterator[CdxEntry]:
+    """The entries of a CDX file, or only those whose pred column matches.
+
+    The file is read once, sequentially, in _READ_CHUNK pieces.  Every line
+    is checked for nine fields.  With a urlkey or timestamp predicate only
+    that field is decoded on every line, and only the lines it keeps are
+    decoded in full; pred.matches decides on the decoded entry.  A line that
+    does not decode is BadCdxLine.
+    """
+    tracker = tracker or IoTracker()
+    keep = _field_test(pred)
+    with tracker.open(file, sequential=True) as fh:
+        for first, lines in _line_chunks(fh):
+            for line_no, line in enumerate(lines, first):
+                line = line.rstrip(b"\r")
+                if not line or line.startswith(b" CDX"):
                     continue
-                fields = line.split(" ")
+                fields = line.split(b" ")
                 if len(fields) != 9:
                     raise BadFieldCount(str(file), line_no, f"expected 9 fields, got {len(fields)}")
-                if "%20" in line:
-                    fields = [f.replace("%20", " ") for f in fields]
-                urlkey, stamp, url, mime, status, digest, length, offset, name = fields
-                if not ((length + offset).isascii() and length.isdigit() and offset.isdigit()):
-                    raise ValueError(f"length {length!r} or offset {offset!r} is not ASCII digits")
-                entry = CdxEntry(
-                    urlkey, parse_timestamp14(stamp), url, "" if mime == "-" else mime,
-                    http_status(status), digest, int(length), int(offset), name,
-                )
-            except (ValueError, BadTimestamp) as exc:
-                raise BadCdxLine(str(file), line_no, exc) from None
-            yield entry
+                try:
+                    if keep is not None and not keep(fields):
+                        continue
+                    entry = _decode_line(line)
+                except (ValueError, BadTimestamp) as exc:
+                    raise BadCdxLine(str(file), line_no, exc) from None
+                if pred is None or pred.matches(getattr(entry, pred.column)):
+                    yield entry
+
+
+def _line_chunks(fh) -> Iterator[tuple[int, list[bytes]]]:
+    """(number of the first line, the lines a read ends, without b"\\n") per
+    _READ_CHUNK read.  A line read in pieces is joined once, so memory holds
+    one chunk plus the longest line; a last line without b"\\n" comes last."""
+    line_no, head = 1, []  # head: the pieces of the line no read has ended yet
+    while chunk := fh.read(_READ_CHUNK):
+        *ended, tail = chunk.split(b"\n")
+        if ended:
+            ended[0] = b"".join(head) + ended[0]
+            yield line_no, ended
+            line_no += len(ended)
+            head = []
+        head.append(tail)
+    last = b"".join(head)
+    if last:
+        yield line_no, [last]
+
+
+def _decode_line(line: bytes) -> CdxEntry:
+    """Every field of a nine-field line; ValueError or BadTimestamp if one does not decode."""
+    text = line.decode("utf-8")
+    urlkey, stamp, url, mime, status, digest, length, offset, name = (
+        map(_unescape, text.split(" ")) if "%" in text else text.split(" ")
+    )
+    if not ((length + offset).isascii() and length.isdigit() and offset.isdigit()):
+        raise ValueError(f"length {length!r} or offset {offset!r} is not ASCII digits")
+    return CdxEntry(
+        urlkey, parse_timestamp14(stamp), url, "" if mime == "-" else mime,
+        http_status(status), digest, int(length), int(offset), name,
+    )
+
+
+def _field_test(pred: Optional[ScanPredicate]):
+    """A test of a line's raw fields that keeps at least every line pred
+    matches, or None when every line is to be decoded.  It decodes the
+    predicate field as _decode_line does, so it fails on that field as
+    _decode_line would."""
+    if pred is None:
+        return None
+    if pred.column == "urlkey":
+        return lambda fields: pred.matches(_unescape(fields[0].decode("utf-8")))
+    if pred.column == "timestamp" and pred.values is None:
+        lo, hi = _bound17(pred.lo), _bound17(pred.hi)
+        return lambda fields: lo <= _stamp17(fields[1].decode("utf-8")) <= hi
+    return None
 
 
 def iter_fetch_records(

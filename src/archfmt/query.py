@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Optional
 from urllib.parse import urldefrag, urljoin
@@ -91,9 +90,10 @@ def _scan(
     """Yield a tuple of exactly `columns`, in that order, per row matching pred.
 
     carc reads only the chunks it needs of the row groups the planner keeps.
-    warc_cdx filters index entries and answers from the CDX alone when every
-    column is a CDX column, else fetches the records.  warc and rarc filter
-    full canonical rows.  bytes_view is passed to the container readers.
+    warc_cdx has parse_cdx decode only the index lines pred matches, and
+    answers from the CDX alone when every column is a CDX column, else
+    fetches the records.  warc and rarc filter full canonical rows.
+    bytes_view is passed to the container readers.
     """
     source = paths.source(backend)
     if backend == "carc":
@@ -102,13 +102,7 @@ def _scan(
         )
         return
     if backend == "warc_cdx":
-        tracker.open_count += 1
-        tracker.seek_count += 1
-        tracker.bytes_read += Path(source).stat().st_size
-        entries = cdx.parse_cdx(source)
-        if pred is not None:
-            key = attrgetter(pred.column)
-            entries = (e for e in entries if pred.matches(key(e)))
+        entries = cdx.parse_cdx(source, pred, tracker)
         if all(c in cdx.CDX_COLUMNS for c in columns):
             yield from (tuple(getattr(e, c) for c in columns) for e in entries)
             return

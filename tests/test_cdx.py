@@ -5,6 +5,8 @@ from datetime import datetime, timezone
 
 import pytest
 
+from archfmt import cdx as cdx_mod
+from archfmt.carc import ScanPredicate
 from archfmt.cdx import (
     CDX_HEADER,
     CdxEntry,
@@ -268,3 +270,143 @@ def test_fetch_records_length_past_end_is_bad_offset(tmp_path, stored_length):
     [entry] = parse_cdx(tmp_path / "one.cdx")
     with pytest.raises(BadOffset, match=re.escape(f"{path}@0: ")):
         fetch_records([dataclasses.replace(entry, stored_length=stored_length)], tmp_path)
+
+
+# --- predicate scans and the line walker ---------------------------------------
+
+def _write_cdx(path, entries, newline="\n"):
+    lines = [CDX_HEADER] + [e.to_line() for e in entries]
+    path.write_bytes("".join(ln + newline for ln in lines).encode("utf-8"))
+
+
+def _mixed_entries(rng, keys, n):
+    """Entries over the given urlkeys with 14- and 17-digit stamps, pre-1970
+    ones included, sorted as build_cdx sorts."""
+    stamps = [rng.randint(-2_000_000_000_000, 2_000_000_000_000) for _ in range(n // 2)]
+    stamps += [rng.randint(-10_000, 10_000) * 1000 + rng.choice([0, 0, 1, 500, 999]) for _ in range(n - n // 2)]
+    entries = [
+        CdxEntry(rng.choice(keys), ms, f"http://u{i}.example/a b%", rng.choice(["", "text/html"]),
+                 rng.choice([-1, 200]), f"D{i}", rng.randint(1, 999), i * 1000, "f.warc.gz")
+        for i, ms in enumerate(stamps)
+    ]
+    return sorted(entries, key=lambda e: (e.urlkey, e.timestamp))
+
+
+def test_predicate_scan_equals_filtered_full_scan(tmp_path):
+    rng = random.Random(77)
+    keys = ["", "com,a)/", "com,a)/x%20y", "com,a)/x y", "com,a)/a%25b", "com,a)/%", "org,b)/q?x=1"]
+    path = tmp_path / "mixed.cdx"
+    low, high = -30610224000001, 253402300800000  # 1 ms outside the years 1000-9999
+    entries = _mixed_entries(rng, keys, 300)
+    entries += [CdxEntry("zz)/", ms, "u", "", -1, "D", 1, 0, "f") for ms in (low + 1, high - 1)]
+    _write_cdx(path, entries)
+    stamps = sorted({e.timestamp for e in entries})
+    assert {len(e.timestamp14) for e in entries} == {14, 17} and stamps[0] < 0
+    preds = [ScanPredicate.isin("urlkey", rng.sample(keys + ["absent)/", "com,a)/x%2520y"], k))
+             for k in (0, 1, 2, 4, 9)]
+    for _ in range(40):
+        a, b = sorted(rng.sample(stamps, 2))
+        preds.append(ScanPredicate.range("timestamp", a + rng.choice([-1, 0, 1]), b + rng.choice([-1, 0, 1])))
+    preds += [ScanPredicate.range("timestamp", lo, hi) for lo, hi in
+              [(low, high), (low, stamps[1]), (stamps[-2], high), (low - 5, low), (high, high + 5),
+               (-10**18, 10**18), (stamps[5], stamps[4])]]
+    for pred in preds:
+        expected = [e for e in parse_cdx(path) if pred.matches(getattr(e, pred.column))]
+        assert list(parse_cdx(path, pred)) == expected, pred
+    assert list(parse_cdx(path, ScanPredicate.range("timestamp", low, high))) == entries
+
+
+def test_escaped_fields_round_trip(tmp_path):
+    values = ["a%20b", "a b", "%25", "%", " %2", "100%% %%20"]
+    entries = [CdxEntry(v, 0, v, v, 200, v, 1, 0, v) for v in values]
+    path = tmp_path / "esc.cdx"
+    _write_cdx(path, entries)
+    assert list(parse_cdx(path)) == entries
+    assert path.read_text().splitlines()[1].count(" ") == 8
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_line_walker_across_chunk_boundaries(tmp_path, monkeypatch, chunk, newline):
+    monkeypatch.setattr(cdx_mod, "_READ_CHUNK", chunk)
+    entries = _mixed_entries(random.Random(chunk), ["com,a)/", "com,a)/x\ry", "com,b)/"], 12)
+    assert any(e.urlkey == "com,a)/x\ry" for e in entries)  # a lone \r inside a field
+    path = tmp_path / "w.cdx"
+    _write_cdx(path, entries, newline)
+    urlkey = ScanPredicate.isin("urlkey", ["com,a)/x\ry"])
+    stamps = sorted(e.timestamp for e in entries)
+    window = ScanPredicate.range("timestamp", stamps[3], stamps[8])
+    for _ in ("line end after the last line", "none"):
+        for pred in (None, urlkey, window):
+            expected = [e for e in entries if pred is None or pred.matches(getattr(e, pred.column))]
+            assert list(parse_cdx(path, pred)) == expected
+        path.write_bytes(path.read_bytes()[: -len(newline)])
+    _write_cdx(path, [], newline)  # the header alone
+    assert list(parse_cdx(path)) == [] == list(parse_cdx(path, urlkey))
+    path.write_bytes(b"")
+    assert list(parse_cdx(path)) == [] == list(parse_cdx(path, window))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 16])
+def test_bad_line_number_with_and_without_predicate(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(cdx_mod, "_READ_CHUNK", chunk)
+    good = "com,a)/ 20180521080000 http://a.com/ - 200 D 10 0 a.warc"
+    cases = {
+        "com,z)/ 20180521080000 u - 200 D 10 0": BadFieldCount,  # 8 fields
+        "com,z)/ 20180521080000 u - 200 D 10 0 f g": BadFieldCount,  # 10 fields
+        "com,z)/ 2018052108000 u - 200 D 10 0 f": BadCdxLine,  # 13-digit stamp
+        "com,z)/ 201805210800000 u - 200 D 10 0 f": BadCdxLine,  # 15-digit stamp
+    }
+    hit = ScanPredicate.isin("urlkey", ["com,z)/"])
+    nowhere = ScanPredicate.isin("urlkey", ["absent)/"])
+    never = ScanPredicate.range("timestamp", 0, 1)
+    for bad, error in cases.items():
+        path = tmp_path / "bad.cdx"
+        path.write_text(f"{CDX_HEADER}\r\n{good}\n{good}\n{bad}\n{good}\n", encoding="utf-8")
+        preds = [None, hit, never] + ([nowhere] if error is BadFieldCount else [])
+        for pred in preds:
+            with pytest.raises(error, match=re.escape(f"{path}:4: ")) as exc:
+                list(parse_cdx(path, pred))
+            assert exc.value.line_no == 4
+
+
+def test_predicate_scan_decodes_other_fields_only_on_matching_lines(tmp_path):
+    path = tmp_path / "skip.cdx"
+    path.write_text(
+        "com,a)/ 20180521080000 http://a.com/ - 200 D 10 0 a.warc\n"
+        "com,b)/ 20190521080000 http://b.com/ - 200 D x 0 a.warc\n",  # bad length
+        encoding="utf-8",
+    )
+    [entry] = parse_cdx(path, ScanPredicate.isin("urlkey", ["com,a)/"]))
+    assert entry.urlkey == "com,a)/"
+    assert list(parse_cdx(path, ScanPredicate.range("timestamp", 0, 1527000000000))) == [entry]
+    for pred in (None, ScanPredicate.isin("urlkey", ["com,b)/"])):
+        with pytest.raises(BadCdxLine, match=re.escape(f"{path}:2: ")):
+            list(parse_cdx(path, pred))
+
+
+def test_mutation_fuzz_raises_only_located_errors(tmp_path):
+    path = tmp_path / "f.warc"
+    write_warc(synth_records(12, seed=6), path, mode="plain")
+    good = tmp_path / "f.cdx"
+    build_cdx([path], good)
+    data = good.read_bytes()
+    entries = list(parse_cdx(good))
+    stamps = sorted(e.timestamp for e in entries)
+    preds = [None, ScanPredicate.isin("urlkey", [entries[3].urlkey, entries[7].urlkey]),
+             ScanPredicate.range("timestamp", stamps[2], stamps[9])]
+    bad = tmp_path / "bad.cdx"
+    rng = random.Random(2025)
+    for i in range(300):
+        if i % 4:
+            mutated = bytearray(data)
+            at = rng.randrange(len(data))
+            mutated[at] = (mutated[at] + rng.randrange(1, 256)) % 256
+            bad.write_bytes(bytes(mutated))
+        else:
+            bad.write_bytes(data[: rng.randrange(len(data))])
+        for pred in preds:
+            try:
+                list(parse_cdx(bad, pred))
+            except BadCdxLine as exc:
+                assert str(exc).startswith(f"{bad}:{exc.line_no}: ")

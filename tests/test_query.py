@@ -101,6 +101,36 @@ def test_monotone_io_warc_cdx_and_constant_warc(corpus):
     assert len(set(warc_bytes)) == 1  # full scan regardless of selectivity
 
 
+def test_warc_cdx_io_is_one_index_pass_plus_one_read_per_match(corpus):
+    """warc_cdx reads the whole CDX once, then each matching record once."""
+    import os
+
+    paths = corpus["paths"]
+    entries = list(cdx.parse_cdx(paths.cdx))
+    rng = random.Random(8)
+    keys = sorted({e.urlkey for e in entries})
+    stamps = sorted(e.timestamp for e in entries)
+    specs = [QuerySpec(kind="records", urlkeys=tuple(rng.sample(keys, n)) + ("absent)/",))
+             for n in (0, 1, 3)]
+    for n in (0, 1, 30, len(stamps) - 1):
+        i = rng.randrange(len(stamps) - n)
+        specs.append(QuerySpec(kind="records", time_range=(stamps[i], stamps[i + n])))
+    cdx_size = os.path.getsize(paths.cdx)
+    for spec in specs:
+        pred = spec.predicate()
+        matches = [e for e in entries if pred.matches(getattr(e, pred.column))]
+        m = run_query(spec, "warc_cdx", paths, keep_rows=False).measurement
+        assert m.records_out == len(matches)
+        assert m.bytes_read == cdx_size + sum(e.stored_length for e in matches)
+        assert m.seek_count == 1 + len(matches)
+        assert m.open_count == 1 + len({e.filename for e in matches})
+        meta = run_query(QuerySpec(kind="meta", time_range=spec.time_range, urlkeys=spec.urlkeys),
+                         "warc_cdx", paths).measurement
+        assert (meta.bytes_read, meta.seek_count, meta.open_count) == (cdx_size, 1, 1)
+    full = run_query(QuerySpec(kind="meta"), "warc_cdx", paths).measurement
+    assert (full.bytes_read, full.seek_count, full.open_count) == (cdx_size, 1, 1)
+
+
 def test_missing_artifact_raises(corpus):
     paths = DatasetPaths(warc_files=corpus["paths"].warc_files, cdx=None, carc=None, rarc=None)
     for backend in ("warc_cdx", "carc", "rarc"):
@@ -200,24 +230,31 @@ def test_url_list_selectivity_helper(corpus):
     assert abs(part / n - 0.1) <= 0.1 * 0.1 + 2 / n
 
 
+PCT_URLS = ("http://pct.example/x%20y", "http://pct.example/x y", "http://pct.example/a%25b")
+
+
 def test_meta_rows_identical_across_backends(corpus, tmp_path):
     """meta answers with the same rows on every backend, for the full
     metadata projection and for one the CDX alone can serve, including a
-    response whose HTTP message names no Content-Type."""
+    response whose HTTP message names no Content-Type and URLs holding the
+    CDX escape characters."""
     from archfmt.query import META_COLUMNS
     from archfmt.warc import make_record, scan_warc
 
     records = [r for f in corpus["paths"].warc_files for r, _ in scan_warc(f)]
-    records.append(
-        make_record(
-            record_id="<urn:uuid:00000000-0000-4000-a000-000000000001>",
-            record_type="response",
-            target_uri="http://no-content-type.example/",
-            warc_date="2018-05-21T08:00:00Z",
-            content_type="application/http; msgtype=response",
-            block=b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+    extra = [("http://no-content-type.example/", b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello")]
+    extra += [(url, b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n" + url.encode()) for url in PCT_URLS]
+    for i, (url, block) in enumerate(extra, 1):
+        records.append(
+            make_record(
+                record_id=f"<urn:uuid:00000000-0000-4000-a000-{i:012d}>",
+                record_type="response",
+                target_uri=url,
+                warc_date="2018-05-21T08:00:00Z",
+                content_type="application/http; msgtype=response",
+                block=block,
+            )
         )
-    )
     paths = make_dataset(tmp_path, records)
     cdx_only = tuple(c for c in META_COLUMNS if c != "content_length")
     for projection in (META_COLUMNS, cdx_only):
@@ -228,6 +265,13 @@ def test_meta_rows_identical_across_backends(corpus, tmp_path):
             assert answers[backend] == answers["warc"], (backend, projection)
     no_ct = [r for r in answers["warc"] if r[0].startswith("example,no-content-type)")]
     assert [r[cdx_only.index("mime")] for r in no_ct] == ["application/http"]
+    pct = sorted(r[cdx_only.index("url")] for r in answers["warc"] if r[0].startswith("example,pct)"))
+    assert pct == sorted(PCT_URLS)
+    for key in ("example,pct)/x%20y", "example,pct)/x y", "example,pct)/a%25b", "example,pct)/a%b"):
+        spec = QuerySpec(kind="meta", urlkeys=(key,), projection=("urlkey", "url"))
+        answers = {b: run_query(spec, b, paths).rows for b in BACKENDS}
+        assert all(rows == answers["warc"] for rows in answers.values()), key
+        assert len(answers["warc"]) == (0 if key.endswith("a%b") else 1)
 
 
 def test_bad_query_spec_is_typed_error():
