@@ -18,11 +18,11 @@ import string
 import uuid
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import cdx, query, warc
+from .convert import utc_fields
 from .errors import BadCsv, EquivalenceFailure, IoFailure, Unachievable
 from .iostats import Measurement
 from .query import DatasetPaths, QuerySpec
@@ -34,7 +34,6 @@ CSV_HEADER = [
 ]
 
 _FILE_BYTES = 100 << 20  # split WARC output at ~100 MiB compressed
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 # 2018-05-20T00:00:00Z .. 2018-05-23T00:00:00Z
 _DEFAULT_RANGE = (1526774400000, 1527033600000)
@@ -52,8 +51,7 @@ class SyntheticSpec:
 
 
 def _iso_of_sec(sec: int) -> str:
-    dt = _EPOCH + timedelta(seconds=sec)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % utc_fields(sec * 1000)[:6]
 
 
 def _take(data: bytes, offset: int, n: int) -> bytes:

@@ -3,9 +3,13 @@
 Nine space-delimited fields per line (" CDX N b a m s k S V g" header):
 urlkey, timestamp, original URL, MIME, status, payload digest, stored
 length, offset, filename.  The timestamp is YYYYMMDDhhmmss, with the
-milliseconds appended (17 digits) when they are not zero.  Lines are sorted
-by (urlkey, timestamp).  A field escapes ``%`` as ``%25`` and then a space
-as ``%20``; the decoder undoes both in one pass, so every value round-trips.
+milliseconds appended (17 digits) when they are not zero, of the years
+1000-9999: it is parsed and formatted through :func:`convert.epoch_ms` and
+:func:`convert.utc_fields`, the conversion every time form shares.  Lines
+are sorted by (urlkey, timestamp).  A field escapes ``%`` as ``%25``, then
+a space as ``%20``, LF as ``%0A`` and CR as ``%0D``; the decoder undoes all
+four in one pass, so every value round-trips.  The filename must be a bare
+file name, which is looked up in the directory of the WARC files.
 
 :func:`parse_cdx` is the one reader.  It reads the file once, sequentially,
 in fixed-size chunks.  Given a urlkey or timestamp predicate it checks the
@@ -27,7 +31,6 @@ this module knows the line: :meth:`CdxEntry.to_line` encodes it and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -41,7 +44,6 @@ from .iostats import IoTracker, Measurement
 CDX_HEADER = " CDX N b a m s k S V g"
 CDX_COLUMNS = ("urlkey", "url", "timestamp", "record_type", "mime", "status", "digest")
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _READ_CHUNK = 1 << 13  # parse_cdx read size: the buffer of a plain buffered reader
 
 
@@ -63,34 +65,35 @@ class CdxEntry:
     @property
     def timestamp14(self) -> str:
         """The timestamp field: 14 digits, or 17 when there are milliseconds."""
-        sec, ms = divmod(self.timestamp, 1000)
-        text = timestamp14_of(sec * 1000)
-        return f"{text}{ms:03d}" if ms else text
+        return _format_stamp(self.timestamp)
 
     def to_line(self) -> str:
         status = f"{self.status:03d}" if self.status >= 0 else "-"
         fields = (self.urlkey, self.timestamp14, self.url, self.mime or "-", status, self.digest,
                   str(self.stored_length), str(self.offset), self.filename)
-        return " ".join(f.replace("%", "%25").replace(" ", "%20") for f in fields)
+        return " ".join([f.replace("%", "%25").replace(" ", "%20").replace("\n", "%0A").replace("\r", "%0D")
+                         for f in fields])
 
 
 def _unescape(field: str) -> str:
-    """Undo to_line's escapes in one pass: %25 is %, %20 is a space.  Splitting
-    at %25 first keeps an escaped % from being read as the start of a %20."""
-    return "%".join(p.replace("%20", " ") for p in field.split("%25")) if "%" in field else field
+    """Undo to_line's escapes in one pass.  Splitting at %25 first keeps an
+    escaped % from being read as the start of another escape."""
+    return "%".join(p.replace("%20", " ").replace("%0A", "\n").replace("%0D", "\r")
+                    for p in field.split("%25")) if "%" in field else field
 
 
-# --- timestamp codecs -------------------------------------------------------
+# --- timestamp codecs: text forms of convert.epoch_ms / utc_fields ---------
+
+def _format_stamp(epoch_ms: int) -> str:
+    """The one stamp encoder: YYYYMMDDhhmmss, and SSS when the ms are not 0."""
+    y, mo, d, h, mi, s, ms = convert.utc_fields(epoch_ms)
+    n = ((((y * 100 + mo) * 100 + d) * 100 + h) * 100 + mi) * 100 + s
+    return str(n * 1000 + ms if ms else n)  # a 4-digit year: exactly 14 or 17 digits
+
 
 def timestamp14_of(epoch_ms: int) -> str:
     """Epoch milliseconds to YYYYMMDDhhmmss, truncating sub-second toward zero."""
-    sec, rem = divmod(epoch_ms, 1000)
-    if epoch_ms < 0 and rem:
-        sec += 1  # truncate toward zero, not floor
-    dt = _EPOCH + timedelta(seconds=sec)
-    if not 1000 <= dt.year <= 9999:
-        raise BadTimestamp(f"year {dt.year} outside 1000-9999")
-    return "%04d%02d%02d%02d%02d%02d" % (dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second)
+    return _format_stamp(epoch_ms - (epoch_ms % 1000 if epoch_ms >= 0 else -(-epoch_ms % 1000)))
 
 
 def _stamp17(s: str) -> str:
@@ -105,29 +108,14 @@ def _stamp17(s: str) -> str:
 
 def parse_timestamp14(s: str) -> int:
     """YYYYMMDDhhmmss, or YYYYMMDDhhmmssSSS, to epoch milliseconds."""
-    ms = int(_stamp17(s)[14:])
-    year = int(s[0:4])
-    if year < 1000:
-        raise BadTimestamp(f"year {year} outside 1000-9999")
-    try:
-        dt = datetime(
-            year, int(s[4:6]), int(s[6:8]), int(s[8:10]), int(s[10:12]), int(s[12:14]),
-            tzinfo=timezone.utc,
-        )
-    except ValueError as exc:
-        raise BadTimestamp(f"{s!r}: {exc}") from None
-    delta = dt - _EPOCH
-    return (delta.days * 86400 + delta.seconds) * 1000 + ms
-
-
-_MIN_MS = parse_timestamp14("10000101000000")
-_MAX_MS = parse_timestamp14("99991231235959999")
+    n = int(_stamp17(s))  # arithmetic picks the fields out faster than slicing the text
+    return convert.epoch_ms(n // 10**13, n // 10**11 % 100, n // 10**9 % 100, n // 10**7 % 100,
+                            n // 10**5 % 100, n // 1000 % 100, n % 1000)
 
 
 def _bound17(epoch_ms: int) -> str:
     """A time bound as 17-digit stamp text, clamped to the years 1000-9999."""
-    sec, ms = divmod(min(max(epoch_ms, _MIN_MS), _MAX_MS), 1000)
-    return f"{timestamp14_of(sec * 1000)}{ms:03d}"
+    return _format_stamp(min(max(epoch_ms, convert.MIN_MS), convert.MAX_MS)).ljust(17, "0")
 
 
 # --- index build / parse / fetch -------------------------------------------
@@ -215,6 +203,8 @@ def _decode_line(line: bytes) -> CdxEntry:
     )
     if not ((length + offset).isascii() and length.isdigit() and offset.isdigit()):
         raise ValueError(f"length {length!r} or offset {offset!r} is not ASCII digits")
+    if name in ("", ".", "..") or "/" in name:
+        raise ValueError(f"filename {name!r} is not a bare file name")
     return CdxEntry(
         urlkey, parse_timestamp14(stamp), url, "" if mime == "-" else mime,
         http_status(status), digest, int(length), int(offset), name,
@@ -251,9 +241,7 @@ def iter_fetch_records(
                     raise BadOffset(str(path), entry.offset, f"missing file for {entry.to_line()}")
                 open_files[entry.filename] = tracker.open(path), path.stat().st_size
             fh, size = open_files[entry.filename]
-            if entry.offset + entry.stored_length > size:
-                raise BadOffset(str(path), entry.offset, f"{entry.stored_length} bytes run past {size}")
-            yield warc.decode_stored(fh.pread(entry.offset, entry.stored_length), str(path), entry.offset)
+            yield warc.read_stored(fh, str(path), size, entry.offset, entry.stored_length)
     finally:
         for fh, _ in open_files.values():
             fh.close()

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import bench, cdx, query
-from .convert import canonicalize_url, convert as _convert, parse_warc_date
+from .convert import MAX_MS, MIN_MS, canonicalize_url, convert as _convert, parse_warc_date
 from .errors import ArchfmtError, IoFailure
 from .query import DatasetPaths, QuerySpec
 
@@ -116,8 +116,8 @@ def _query_spec(args) -> QuerySpec:
     if args.time_from or args.time_to:
         if args.url_file:
             raise UsageError("--from/--to and --url-file are mutually exclusive")
-        lo = _parse_instant(args.time_from, end=False) if args.time_from else 0
-        hi = _parse_instant(args.time_to, end=True) if args.time_to else 2**62
+        lo = _parse_instant(args.time_from, end=False) if args.time_from else MIN_MS
+        hi = _parse_instant(args.time_to, end=True) if args.time_to else MAX_MS
         return QuerySpec(args.kind, time_range=(lo, hi), projection=projection)
     if args.url_file:
         with open(args.url_file, encoding="utf-8") as fh:

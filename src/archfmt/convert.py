@@ -5,17 +5,21 @@ response with the URL key, typed timestamp, HTTP metadata, payload digest,
 raw HTTP header text, and the payload bytes.  :func:`to_canonical` is the
 only derivation of these columns from a record; the CDX index stores a
 projection of its row.
+
+:func:`epoch_ms` and its inverse :func:`utc_fields` are the one conversion
+between UTC calendar fields and epoch ms.  The WARC-Date, the CDX stamp and
+the CLI's query bounds parse or format through them, so all accept the years
+1000-9999 (``MIN_MS`` to ``MAX_MS``) and fail with BadDate outside them.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-import pickle
 import re
-import tempfile
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 from urllib.parse import urlsplit
@@ -53,8 +57,8 @@ COL = {c.name: i for i, c in enumerate(CANONICAL_SCHEMA.columns)}
 _SORT_KEYS = {"none": None, "timestamp": COL["timestamp"], "urlkey": COL["urlkey"]}
 _SPILL_BYTES = 256 << 20  # external sort chunk budget
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_ISO_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.([0-9]+))?Z")
+_EPOCH_DAY = date(1970, 1, 1).toordinal()
+_ISO_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.([0-9]{1,3})[0-9]*)?Z")
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
@@ -97,17 +101,45 @@ def canonicalize_url(url: str) -> str:
     return key
 
 
+def epoch_ms(y: int, mo: int, d: int, h: int = 0, mi: int = 0, s: int = 0, ms: int = 0) -> int:
+    """UTC calendar fields to epoch milliseconds; BadDate if a field is out
+    of range or the year outside 1000-9999."""
+    if not (1000 <= y <= 9999 and 0 <= h < 24 and 0 <= mi < 60 and 0 <= s < 60 and 0 <= ms < 1000):
+        raise BadDate(f"{(y, mo, d, h, mi, s, ms)} is not a time of the years 1000-9999")
+    try:  # date validates the month and the day
+        days = date(y, mo, d).toordinal() - _EPOCH_DAY
+    except ValueError as exc:
+        raise BadDate(f"{(y, mo, d)}: {exc}") from None
+    return (((days * 24 + h) * 60 + mi) * 60 + s) * 1000 + ms
+
+
+MIN_MS = epoch_ms(1000, 1, 1)
+MAX_MS = epoch_ms(9999, 12, 31, 23, 59, 59, 999)
+
+
+def utc_fields(ms: int) -> tuple[int, int, int, int, int, int, int]:
+    """Epoch milliseconds to (year, month, day, hour, minute, second, ms) in
+    UTC, the inverse of epoch_ms; BadDate outside the years 1000-9999."""
+    if not MIN_MS <= ms <= MAX_MS:
+        raise BadDate(f"{ms} ms is outside the years 1000-9999")
+    days, ms = divmod(ms, 86_400_000)
+    day = date.fromordinal(days + _EPOCH_DAY)
+    h, ms = divmod(ms, 3_600_000)
+    mi, ms = divmod(ms, 60_000)
+    s, ms = divmod(ms, 1000)
+    return day.year, day.month, day.day, h, mi, s, ms
+
+
 def parse_warc_date(s: str) -> int:
     """ISO-8601 UTC ("Z") to epoch milliseconds; fraction truncated to ms."""
     m = _ISO_RE.fullmatch(s)
     if m is None:
         raise BadDate(f"not YYYY-MM-DDThh:mm:ss[.fraction]Z in ASCII digits: {s!r}")
-    *fields, frac = m.groups()
-    try:  # datetime validates the calendar fields
-        delta = datetime(*map(int, fields), tzinfo=timezone.utc) - _EPOCH
-    except ValueError as exc:
+    y, mo, d, h, mi, sec, ms = m.groups()  # ms: the first 1-3 digits of the fraction
+    try:
+        return epoch_ms(int(y), int(mo), int(d), int(h), int(mi), int(sec), int(ms.ljust(3, "0")) if ms else 0)
+    except BadDate as exc:
         raise BadDate(f"{s!r}: {exc}") from None
-    return (delta.days * 86400 + delta.seconds) * 1000 + int(f"{frac or ''}000"[:3])
 
 
 def to_canonical(record: warc.WarcRecord) -> CanonicalRecord:
@@ -129,52 +161,28 @@ def to_canonical(record: warc.WarcRecord) -> CanonicalRecord:
     )
 
 
-def _external_sort(rows: Iterator[tuple], key_idx: int, tmp_dir) -> Iterator[tuple]:
-    """Sort an arbitrarily large row stream, spilling chunks to tmp_dir."""
-    chunk_paths = []
+def _external_sort(rows: Iterator[tuple], key_idx: int, schema: CarcSchema, tmp_dir) -> Iterator[tuple]:
+    """Sort an arbitrarily large row stream: each _SPILL_BYTES run but the
+    last is sorted and spilled to an uncompressed RARC file in tmp_dir, and
+    the runs are merged with the last one, held in memory.  Sorts stably."""
+    key = itemgetter(key_idx)
+    runs: list[str] = []
     buffer: list[tuple] = []
     buffered = 0
-
-    def spill():
-        nonlocal buffered
-        buffer.sort(key=lambda r: r[key_idx])
-        fd, path = tempfile.mkstemp(dir=tmp_dir, suffix=".sortchunk")
-        with os.fdopen(fd, "wb") as fh:
-            for row in buffer:
-                pickle.dump(row, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        chunk_paths.append(path)
-        buffer.clear()
-        buffered = 0
-
-    for row in rows:
-        buffer.append(row)
-        buffered += len(row[COL["payload"]]) + 200
-        if buffered >= _SPILL_BYTES:
-            spill()
-
-    if not chunk_paths:  # fits in memory
-        buffer.sort(key=lambda r: r[key_idx])
-        yield from buffer
-        return
-    if buffer:
-        spill()
-
-    def read_chunk(path):
-        with open(path, "rb") as fh:
-            while True:
-                try:
-                    yield pickle.load(fh)
-                except EOFError:
-                    return
-
     try:
-        yield from heapq.merge(*(read_chunk(p) for p in chunk_paths), key=lambda r: r[key_idx])
+        for row in rows:
+            buffer.append(row)
+            buffered += len(row[COL["payload"]]) + 200
+            if buffered >= _SPILL_BYTES:
+                buffer.sort(key=key)
+                runs.append(os.path.join(tmp_dir, f".sortrun-{len(runs)}.rarc"))
+                rarc.write_rarc(buffer, schema, runs[-1], codec="none")
+                buffer, buffered = [], 0
+        buffer.sort(key=key)
+        yield from heapq.merge(*map(rarc.read_rarc, runs), buffer, key=key)
     finally:
-        for p in chunk_paths:
-            try:
-                os.unlink(p)
-            except OSError:
-                pass
+        for path in runs:
+            os.unlink(path)
 
 
 @dataclass
@@ -248,7 +256,7 @@ def convert(
         stream: Iterable[tuple] = rows()
         key_idx = _SORT_KEYS[sort]
         if key_idx is not None:
-            stream = _external_sort(iter(stream), key_idx, out_dir)
+            stream = _external_sort(stream, key_idx, schema, out_dir)
         if target == "carc":
             carc.write_carc(
                 stream,

@@ -59,12 +59,11 @@ class BadFieldCount(BadCdxLine):
     pass
 
 
-class BadTimestamp(ArchfmtError):
-    pass
-
-
 class BadDate(ArchfmtError):
-    pass
+    """A time not in its text form, or outside the years 1000-9999."""
+
+
+BadTimestamp = BadDate  # a CDX stamp is parsed by the codec of the WARC-Date
 
 
 # --- container formats ---

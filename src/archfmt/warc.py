@@ -220,6 +220,15 @@ def decode_stored(raw: bytes, file: str, offset: int, mode: str = "auto") -> War
         raise BadOffset(file, offset, str(exc)) from None
 
 
+def read_stored(fh, file: str, size: int, offset: int, length: int, mode: str = "auto") -> WarcRecord:
+    """Decode the record stored in the length bytes at offset of fh, an open
+    file of size bytes, with one positioned read; BadOffset unless those
+    bytes lie inside the file.  Every positioned record read goes through here."""
+    if not (0 <= offset and 0 <= length and offset + length <= size):
+        raise BadOffset(file, offset, f"{length} bytes at {offset} do not lie inside its {size} bytes")
+    return decode_stored(fh.pread(offset, length), file, offset, mode)
+
+
 def read_record_at(
     file, location: RecordLocation, mode: str = "auto", tracker: Optional[IoTracker] = None
 ) -> WarcRecord:
@@ -227,8 +236,7 @@ def read_record_at(
     file = str(file)
     tracker = tracker or IoTracker()
     with tracker.open(file) as fh:
-        raw = fh.pread(location.offset, location.stored_length)
-    return decode_stored(raw, file, location.offset, mode)
+        return read_stored(fh, file, os.path.getsize(file), location.offset, location.stored_length, mode)
 
 
 def serialize_record(record: WarcRecord) -> bytes:

@@ -410,3 +410,43 @@ def test_mutation_fuzz_raises_only_located_errors(tmp_path):
                 list(parse_cdx(bad, pred))
             except BadCdxLine as exc:
                 assert str(exc).startswith(f"{bad}:{exc.line_no}: ")
+
+
+# --- line breaks in fields, bare file names -------------------------------------
+
+def test_line_breaks_in_fields_are_escaped_and_round_trip(tmp_path):
+    values = ["text/html\nx-a: b", "a\rb", "\r\n", "%0A literal", "%0D%20%25", "x\n%0A\r%0D"]
+    entries = [CdxEntry(f"com,a)/{i}", 1526889600000 + i, f"http://a.com/{v}", v, 200, "D", 1, i, "f")
+               for i, v in enumerate(values)]
+    path = tmp_path / "breaks.cdx"
+    _write_cdx(path, entries)
+    text = path.read_bytes()
+    assert text.count(b"\n") == len(entries) + 1 and b"\r" not in text
+    assert list(parse_cdx(path)) == entries
+    pred = ScanPredicate.isin("urlkey", (entries[2].urlkey,))
+    assert list(parse_cdx(path, pred)) == [entries[2]]
+
+
+@pytest.mark.parametrize("name", ["/abs/x.warc", "a/b.warc", "..", ".", ""])
+def test_cdx_filename_must_be_a_bare_file_name(tmp_path, name):
+    p = tmp_path / "names.cdx"
+    p.write_text(f"{CDX_HEADER}\ncom,a)/ 20180521080000 http://a.com/ - 200 D 10 0 {name}\n", encoding="utf-8")
+    with pytest.raises(BadCdxLine, match=re.escape(f"{p}:2: ")):
+        list(parse_cdx(p))
+
+
+def test_warc_cdx_serves_no_record_named_outside_the_dataset(tmp_path):
+    from archfmt.query import DatasetPaths, QuerySpec, run_query
+
+    (tmp_path / "inside").mkdir()
+    (tmp_path / "outside").mkdir()
+    inside, outside = tmp_path / "inside" / "in.warc", tmp_path / "outside" / "out.warc"
+    write_warc(synth_records(2, seed=1), inside)
+    write_warc(synth_records(2, seed=2), outside)
+    build_cdx([outside], tmp_path / "i.cdx")
+    text = (tmp_path / "i.cdx").read_text().replace(" out.warc\n", f" {outside}\n")
+    (tmp_path / "i.cdx").write_text(text)
+    paths = DatasetPaths(warc_files=(str(inside),), cdx=str(tmp_path / "i.cdx"))
+    with pytest.raises(BadCdxLine):
+        run_query(QuerySpec(kind="records"), "warc_cdx", paths)
+

@@ -236,3 +236,45 @@ def test_query_sub_second_bounds(tmp_path, capsys):
         capsys.readouterr()
         code, out, _ = run(capsys, *base, "--from", bounds[0], "--to", bounds[1])
         assert (code, out.strip()) == (0, want), bounds
+
+
+def _one_record_warc(tmp_path, date):
+    from archfmt.warc import make_record, write_warc
+
+    record = make_record(
+        "<urn:uuid:00000000-0000-4000-a000-000000000020>", "response", "http://old.example/",
+        date, "application/http; msgtype=response", b"HTTP/1.1 200 OK\r\n\r\nhi",
+    )
+    warc = tmp_path / "one.warc"
+    write_warc([record], warc)
+    return str(warc)
+
+
+def test_year_0999_fails_the_same_way_on_every_command(tmp_path, capsys):
+    warc = _one_record_warc(tmp_path, "0999-12-31T23:59:59Z")
+    for argv in (["index", warc, "--out", str(tmp_path / "d.cdx")],
+                 ["convert", warc, "--target", "carc", "--out-dir", str(tmp_path / "c")],
+                 ["convert", warc, "--target", "rarc", "--out-dir", str(tmp_path / "r")],
+                 ["query", "count", "--backend", "warc", "--warc", warc]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: '0999-12-31T23:59:59Z': ") and "1000-9999" in err, argv
+
+
+@pytest.mark.parametrize("bound", ["0999-12-31T23:59:59Z", "09991231235959", "09991231235959999",
+                                   "10000-01-01T00:00:00Z"])
+def test_query_bound_outside_the_years_is_data_error(tmp_path, capsys, bound):
+    warc = _one_record_warc(tmp_path, "2018-05-21T08:00:00Z")
+    for flag in ("--from", "--to"):
+        code, out, err = run(capsys, "query", "count", "--backend", "warc", "--warc", warc, flag, bound)
+        assert (code, out) == (2, "") and err.startswith("error: "), (flag, bound)
+
+
+def test_open_query_bounds_cover_the_whole_range(tmp_path, capsys):
+    """An omitted --from or --to is the first or last instant of the years 1000-9999."""
+    for date, bound in (("1969-12-31T23:59:59Z", ("--to", "1970-01-01T00:00:00Z")),
+                        ("1000-01-01T00:00:00Z", ("--to", "10000101000000")),
+                        ("9999-12-31T23:59:59.999Z", ("--from", "99991231235959999"))):
+        warc = _one_record_warc(tmp_path, date)
+        code, out, _ = run(capsys, "query", "count", "--backend", "warc", "--warc", warc, *bound)
+        assert (code, out.strip()) == (0, "1"), date

@@ -1,5 +1,6 @@
 import calendar
 import dataclasses
+import os
 import random
 
 import pytest
@@ -9,9 +10,13 @@ from archfmt.cdx import canonicalize_url
 from archfmt.convert import (
     CANONICAL_SCHEMA,
     COL,
+    MAX_MS,
+    MIN_MS,
     convert,
+    epoch_ms,
     parse_warc_date,
     to_canonical,
+    utc_fields,
 )
 from archfmt.errors import BadDate
 from archfmt.httpmsg import payload_digest
@@ -246,8 +251,11 @@ def test_status_is_three_ascii_digits_on_every_path(tmp_path, token, status):
         assert run_query(spec, backend, paths).rows == [(status,)], backend
 
 
-@pytest.mark.parametrize("date", ["2018-05-21T08:00:00.²Z", "2018-05-21T08:00:00\nZ"])
+@pytest.mark.parametrize("date", ["2018-05-21T08:00:00.²Z", "2018-05-21T08:00:00\nZ",
+                                  "0999-12-31T23:59:59Z", "0000-01-01T00:00:00Z"])
 def test_warc_date_needs_ascii_digits_on_every_path(tmp_path, date):
+    """A WARC-Date that is not ASCII digits, or not of the years 1000-9999, is
+    BadDate on every path."""
     from archfmt.cdx import build_cdx
 
     record = _response(date=date)
@@ -262,3 +270,90 @@ def test_warc_date_needs_ascii_digits_on_every_path(tmp_path, date):
     with pytest.raises(BadDate):
         convert([path], "carc", tmp_path / "carc")
     assert not (tmp_path / "carc" / "data.carc").exists()
+
+
+# --- the one time codec ------------------------------------------------------
+
+def _valid_fields(rng):
+    y, mo = rng.randint(1000, 9999), rng.randint(1, 12)
+    return (y, mo, rng.randint(1, calendar.monthrange(y, mo)[1]), rng.randint(0, 23),
+            rng.randint(0, 59), rng.randint(0, 59), rng.randint(0, 999))
+
+
+def test_epoch_ms_and_utc_fields_are_inverse():
+    rng = random.Random(1000)
+    edges = [(1000, 1, 1, 0, 0, 0, 0), (9999, 12, 31, 23, 59, 59, 999), (1970, 1, 1, 0, 0, 0, 0),
+             (1969, 12, 31, 23, 59, 59, 999), (2000, 2, 29, 12, 0, 0, 1), (1600, 2, 29, 0, 0, 0, 0),
+             (2024, 2, 29, 23, 59, 59, 999), (1000, 2, 28, 0, 0, 0, 0)]
+    for fields in edges + [_valid_fields(rng) for _ in range(3000)]:
+        ms = epoch_ms(*fields)
+        assert utc_fields(ms) == fields
+        assert ms == calendar.timegm(fields[:6]) * 1000 + fields[6]
+    assert (epoch_ms(1000, 1, 1), epoch_ms(9999, 12, 31, 23, 59, 59, 999)) == (MIN_MS, MAX_MS)
+    for _ in range(3000):
+        ms = rng.randint(MIN_MS, MAX_MS)
+        assert epoch_ms(*utc_fields(ms)) == ms
+
+
+@pytest.mark.parametrize("fields", [
+    (999, 12, 31, 23, 59, 59, 999), (10000, 1, 1, 0, 0, 0, 0), (2018, 0, 1, 0, 0, 0, 0),
+    (2018, 13, 1, 0, 0, 0, 0), (2018, 1, 0, 0, 0, 0, 0), (2018, 1, 32, 0, 0, 0, 0),
+    (1900, 2, 29, 0, 0, 0, 0), (2023, 2, 29, 0, 0, 0, 0), (2018, 4, 31, 0, 0, 0, 0),
+    (2018, 1, 1, 24, 0, 0, 0), (2018, 1, 1, 0, 60, 0, 0), (2018, 1, 1, 0, 0, 60, 0),
+    (2018, 1, 1, 0, 0, 0, 1000), (2018, 1, 1, -1, 0, 0, 0), (2018, 1, 1, 0, 0, 0, -1),
+])
+def test_epoch_ms_rejects_invalid_fields(fields):
+    with pytest.raises(BadDate):
+        epoch_ms(*fields)
+
+
+def test_utc_fields_rejects_instants_outside_the_range():
+    for ms in (MIN_MS - 1, MAX_MS + 1, -2**63, 2**63):
+        with pytest.raises(BadDate):
+            utc_fields(ms)
+
+
+def _spill_small_runs(monkeypatch) -> list:
+    """Make convert's external sort spill a run every few rows; returns the
+    list the paths of the runs it writes are appended to."""
+    import archfmt.convert as convert_mod
+
+    runs, write_rarc = [], convert_mod.rarc.write_rarc
+    monkeypatch.setattr(convert_mod, "_SPILL_BYTES", 2000)  # 4-7 synth_records rows a run
+    monkeypatch.setattr(convert_mod.rarc, "write_rarc",
+                        lambda rows, schema, path, **kw: runs.append(path) or write_rarc(rows, schema, path, **kw))
+    return runs
+
+
+@pytest.mark.parametrize("sort, as_text", [("timestamp", False), ("urlkey", False), ("timestamp", True)])
+def test_external_sort_spill_matches_in_memory_sort(tmp_path, monkeypatch, sort, as_text):
+    import hashlib
+
+    path = tmp_path / "many.warc"
+    records = [  # three URLs at three instants: many equal keys, which must keep their input order
+        make_record(r.record_id, "response", f"http://tie{i % 3}.example/", f"2018-05-21T08:00:0{i % 3}Z",
+                    "application/http; msgtype=response", r.block)
+        for i, r in enumerate(synth_records(60, seed=11))
+    ]
+    write_warc(records, path)
+
+    def digest(out):
+        m = convert([path], "carc", out, sort=sort, rows_per_group=16, timestamp_as_text=as_text)
+        return hashlib.sha256(open(m.output, "rb").read()).hexdigest(), sorted(os.listdir(out))
+
+    in_memory, files = digest(tmp_path / "memory")
+    runs = _spill_small_runs(monkeypatch)
+    spilled, spill_files = digest(tmp_path / "spill")
+    assert len(runs) >= 5
+    assert spilled == in_memory
+    assert spill_files == files == ["data.carc", "manifest.carc.txt"]  # no run file left behind
+
+
+def test_external_sort_removes_its_runs_when_the_input_fails(tmp_path, monkeypatch):
+    path = tmp_path / "bad-last.warc"
+    write_warc(synth_records(40, seed=12) + [_response(date="0999-01-01T00:00:00Z")], path)
+    runs = _spill_small_runs(monkeypatch)
+    with pytest.raises(BadDate):
+        convert([path], "carc", tmp_path / "out", sort="timestamp")
+    assert len(runs) >= 3
+    assert os.listdir(tmp_path / "out") == []

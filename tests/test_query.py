@@ -131,6 +131,19 @@ def test_warc_cdx_io_is_one_index_pass_plus_one_read_per_match(corpus):
     assert (full.bytes_read, full.seek_count, full.open_count) == (cdx_size, 1, 1)
 
 
+def test_carc_count_reads_what_the_footer_read_reads(corpus):
+    """count on carc goes through the one scan path and costs one footer read."""
+    from archfmt.carc import read_footer
+    from archfmt.iostats import IoTracker
+
+    tracker = IoTracker()
+    footer = read_footer(corpus["paths"].carc, tracker)
+    result = run_query(QuerySpec(kind="count"), "carc", corpus["paths"])
+    assert result.rows == [footer.total_rows] == [corpus["spec"].record_count]
+    m = result.measurement
+    assert (m.bytes_read, m.seek_count, m.open_count) == (tracker.bytes_read, tracker.seek_count, 1)
+
+
 def test_missing_artifact_raises(corpus):
     paths = DatasetPaths(warc_files=corpus["paths"].warc_files, cdx=None, carc=None, rarc=None)
     for backend in ("warc_cdx", "carc", "rarc"):
@@ -236,14 +249,16 @@ PCT_URLS = ("http://pct.example/x%20y", "http://pct.example/x y", "http://pct.ex
 def test_meta_rows_identical_across_backends(corpus, tmp_path):
     """meta answers with the same rows on every backend, for the full
     metadata projection and for one the CDX alone can serve, including a
-    response whose HTTP message names no Content-Type and URLs holding the
-    CDX escape characters."""
+    response whose HTTP message names no Content-Type, URLs holding the CDX
+    escape characters and MIMEs holding a line break."""
     from archfmt.query import META_COLUMNS
     from archfmt.warc import make_record, scan_warc
 
     records = [r for f in corpus["paths"].warc_files for r, _ in scan_warc(f)]
     extra = [("http://no-content-type.example/", b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello")]
     extra += [(url, b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n" + url.encode()) for url in PCT_URLS]
+    extra += [(f"http://line-break.example/{i}", b"HTTP/1.1 200 OK\r\nContent-Type: text/html" + sep + b"X-A: b\r\n\r\nhi")
+              for i, sep in enumerate((b"\n", b"\r"))]  # a bare LF or CR inside the header
     for i, (url, block) in enumerate(extra, 1):
         records.append(
             make_record(
@@ -265,6 +280,8 @@ def test_meta_rows_identical_across_backends(corpus, tmp_path):
             assert answers[backend] == answers["warc"], (backend, projection)
     no_ct = [r for r in answers["warc"] if r[0].startswith("example,no-content-type)")]
     assert [r[cdx_only.index("mime")] for r in no_ct] == ["application/http"]
+    breaks = sorted(r[cdx_only.index("mime")] for r in answers["warc"] if r[0].startswith("example,line-break)"))
+    assert breaks == ["text/html\nx-a: b", "text/html\rx-a: b"]
     pct = sorted(r[cdx_only.index("url")] for r in answers["warc"] if r[0].startswith("example,pct)"))
     assert pct == sorted(PCT_URLS)
     for key in ("example,pct)/x%20y", "example,pct)/x y", "example,pct)/a%25b", "example,pct)/a%b"):

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 
 import pytest
 
@@ -70,6 +71,14 @@ def test_read_record_at_mid_header_is_bad_offset(tmp_path):
     shifted = type(loc)(file=loc.file, offset=1, stored_length=loc.stored_length - 1)
     with pytest.raises(BadOffset):
         read_record_at(path, shifted)
+
+
+@pytest.mark.parametrize("offset, length", [(0, 10**15), (0, 2**63), (-5, 10), (0, -1), (10**15, 1), (2**63, 1)])
+def test_read_record_at_outside_the_file_is_bad_offset(tmp_path, offset, length):
+    path = tmp_path / "one.warc"
+    [loc] = write_warc(synth_records(1), path, mode="plain")
+    with pytest.raises(BadOffset, match=re.escape(f"{path}@{offset}: ")):
+        read_record_at(path, type(loc)(file=loc.file, offset=offset, stored_length=length))
 
 
 def test_write_empty_list(tmp_path):
