@@ -162,9 +162,10 @@ def to_canonical(record: warc.WarcRecord) -> CanonicalRecord:
 
 
 def _external_sort(rows: Iterator[tuple], key_idx: int, schema: CarcSchema, tmp_dir) -> Iterator[tuple]:
-    """Sort an arbitrarily large row stream: each _SPILL_BYTES run but the
-    last is sorted and spilled to an uncompressed RARC file in tmp_dir, and
-    the runs are merged with the last one, held in memory.  Sorts stably."""
+    """Sort an arbitrarily large row stream stably: each _SPILL_BYTES run but
+    the last is sorted and spilled to an uncompressed RARC file in tmp_dir,
+    one row a block so the merge holds one decoded row of each run, and the
+    runs are merged with the last one, held in memory."""
     key = itemgetter(key_idx)
     runs: list[str] = []
     buffer: list[tuple] = []
@@ -176,13 +177,13 @@ def _external_sort(rows: Iterator[tuple], key_idx: int, schema: CarcSchema, tmp_
             if buffered >= _SPILL_BYTES:
                 buffer.sort(key=key)
                 runs.append(os.path.join(tmp_dir, f".sortrun-{len(runs)}.rarc"))
-                rarc.write_rarc(buffer, schema, runs[-1], codec="none")
+                rarc.write_rarc(buffer, schema, runs[-1], rows_per_block=1, codec="none")
                 buffer, buffered = [], 0
         buffer.sort(key=key)
         yield from heapq.merge(*map(rarc.read_rarc, runs), buffer, key=key)
     finally:
         for path in runs:
-            os.unlink(path)
+            Path(path).unlink(missing_ok=True)
 
 
 @dataclass

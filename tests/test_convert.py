@@ -18,7 +18,7 @@ from archfmt.convert import (
     to_canonical,
     utc_fields,
 )
-from archfmt.errors import BadDate
+from archfmt.errors import BadDate, IoFailure
 from archfmt.httpmsg import payload_digest
 from archfmt.warc import make_record, scan_warc, write_warc
 
@@ -204,7 +204,6 @@ def test_write_failure_is_io_failure_without_partial_output(tmp_path, monkeypatc
     import errno
 
     import archfmt.rarc
-    from archfmt.errors import IoFailure
 
     def full_disk(*args, **kwargs):
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -356,4 +355,42 @@ def test_external_sort_removes_its_runs_when_the_input_fails(tmp_path, monkeypat
     with pytest.raises(BadDate):
         convert([path], "carc", tmp_path / "out", sort="timestamp")
     assert len(runs) >= 3
+    assert os.listdir(tmp_path / "out") == []
+
+
+def test_external_sort_merges_one_decoded_row_of_each_run(tmp_path, monkeypatch):
+    import archfmt.convert as convert_mod
+
+    path = tmp_path / "many.warc"
+    write_warc(synth_records(60, seed=13), path)
+    runs = _spill_small_runs(monkeypatch)
+    block_sizes, blocks = [], convert_mod.rarc._blocks
+
+    def counted(*args):
+        for rows in blocks(*args):
+            block_sizes.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(convert_mod.rarc, "_blocks", counted)
+    convert([path], "carc", tmp_path / "out", sort="urlkey")
+    assert len(runs) >= 5
+    assert len(block_sizes) > len(runs)  # every spilled row, read one block a row
+    assert set(block_sizes) == {1}
+
+
+def test_external_sort_keeps_the_error_of_a_failed_spill(tmp_path, monkeypatch):
+    import errno
+
+    import archfmt.convert as convert_mod
+
+    path = tmp_path / "many.warc"
+    write_warc(synth_records(40, seed=14), path)
+
+    def full_disk(*args, **kw):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(convert_mod, "_SPILL_BYTES", 2000)
+    monkeypatch.setattr(convert_mod.rarc, "write_rarc", full_disk)
+    with pytest.raises(IoFailure, match="No space left"):
+        convert([path], "carc", tmp_path / "out", sort="timestamp")
     assert os.listdir(tmp_path / "out") == []
