@@ -121,12 +121,16 @@ class ScanPredicate:
             object.__setattr__(self, "_members", frozenset(self.values))
 
     def matches(self, value) -> bool:
-        """True if a row whose column holds value passes the filter."""
+        """True if a row whose column holds value passes; SchemaMismatch if the bounds cannot compare with it."""
         if value is None:
             return False
         if self._members is not None:
             return value in self._members
-        return self.lo <= value <= self.hi
+        try:
+            return self.lo <= value <= self.hi
+        except TypeError:  # e.g. int bounds on a timestamp stored as text
+            raise SchemaMismatch(f"column {self.column}: bounds of type {type(self.lo).__name__} "
+                                 f"cannot bound {value!r}") from None
 
     @classmethod
     def range(cls, column, lo, hi) -> "ScanPredicate":

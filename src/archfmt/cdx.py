@@ -9,7 +9,7 @@ milliseconds appended (17 digits) when they are not zero, of the years
 are sorted by (urlkey, timestamp).  A field escapes ``%`` as ``%25``, then
 a space as ``%20``, LF as ``%0A`` and CR as ``%0D``; the decoder undoes all
 four in one pass, so every value round-trips.  The filename must be a bare
-file name, which is looked up in the directory of the WARC files.
+file name; :func:`iter_fetch_records` finds it among the WARC files given.
 
 :func:`parse_cdx` is the one reader.  It reads the file once, sequentially,
 in fixed-size chunks.  Given a urlkey or timestamp predicate it checks the
@@ -22,9 +22,9 @@ at 10 ms a seek and 100 MiB/s, reading an 8,000-line (1.44 MB) index once
 costs 23.7 ms, and the five or more 64 KiB probes of a bisection 53 ms.
 
 A :class:`CdxEntry` holds the canonical values of the columns a line carries
-(``CDX_COLUMNS``, read by canonical column name): a projection of
-:func:`convert.to_canonical`'s row, plus where the record is stored.  Only
-this module knows the line: :meth:`CdxEntry.to_line` encodes it and
+(``CDX_COLUMNS``, read by canonical column name): a projection of the row
+:func:`convert.response_rows` derives, plus where the record is stored.
+Only this module knows the line: :meth:`CdxEntry.to_line` encodes it and
 :func:`parse_cdx` decodes it.
 """
 
@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Optional
 from . import convert, warc
 from .carc import ScanPredicate
 from .convert import canonicalize_url  # noqa: F401 (the urlkey codec, importable from here)
-from .errors import BadCdxLine, BadFieldCount, BadOffset, BadTimestamp
+from .errors import ArchfmtError, BadCdxLine, BadFieldCount, BadOffset, BadTimestamp
 from .httpmsg import http_status
 from .iostats import IoTracker, Measurement
 
@@ -120,23 +120,14 @@ def _bound17(epoch_ms: int) -> str:
 
 # --- index build / parse / fetch -------------------------------------------
 
-def entry_for(record: warc.WarcRecord, loc: warc.RecordLocation) -> CdxEntry:
-    """The record's canonical row, projected onto the CDX columns, at loc."""
-    row = convert.to_canonical(record)
-    return CdxEntry(
-        row.urlkey, row.timestamp_ms, row.url, row.mime, row.status, row.digest,
-        loc.stored_length, loc.offset, Path(loc.file).name,
-    )
-
-
 def build_cdx(warc_files, out) -> int:
     """Index the response records of the given WARC files into one sorted CDX
     file; returns line count."""
-    entries = []
-    for file in warc_files:
-        for record, loc in warc.scan_warc(file):
-            if record.record_type == "response":
-                entries.append(entry_for(record, loc))
+    entries = [
+        CdxEntry(row.urlkey, row.timestamp_ms, row.url, row.mime, row.status, row.digest,
+                 loc.stored_length, loc.offset, Path(loc.file).name)
+        for row, loc, _ in convert.response_rows(pair for f in warc_files for pair in warc.scan_warc(f))
+    ]
     entries.sort(key=lambda e: (e.urlkey, e.timestamp))  # the order of the line text
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CDX_HEADER + "\n")
@@ -227,29 +218,34 @@ def _field_test(pred: Optional[ScanPredicate]):
 
 
 def iter_fetch_records(
-    entries: Iterable[CdxEntry], warc_dir, tracker: Optional[IoTracker] = None
-) -> Iterator[warc.WarcRecord]:
-    """One positioned read per entry; records yielded in entry order."""
-    warc_dir = Path(warc_dir)
+    entries: Iterable[CdxEntry], warc_files, tracker: Optional[IoTracker] = None
+) -> Iterator[tuple[warc.WarcRecord, warc.RecordLocation]]:
+    """(record, location) for each entry, in entry order, with one positioned
+    read each.  An entry's bare file name is looked up among warc_files."""
     tracker = tracker or IoTracker()
-    open_files: dict[str, tuple] = {}  # filename: (file, size)
+    by_name: dict[str, str] = {}
+    for path in map(str, warc_files):
+        if (other := by_name.setdefault(Path(path).name, path)) != path:
+            raise ArchfmtError(f"WARC files {other} and {path} share a name, all a CDX line says of its file")
+    open_files: dict[str, tuple] = {}  # path: (file, size)
     try:
         for entry in entries:
-            path = warc_dir / entry.filename
-            if entry.filename not in open_files:
-                if not path.exists():
-                    raise BadOffset(str(path), entry.offset, f"missing file for {entry.to_line()}")
-                open_files[entry.filename] = tracker.open(path), path.stat().st_size
-            fh, size = open_files[entry.filename]
-            yield warc.read_stored(fh, str(path), size, entry.offset, entry.stored_length)
+            path = by_name.get(entry.filename)
+            if path is None:
+                raise BadOffset(entry.filename, entry.offset, f"not among the WARC files given: {entry.to_line()}")
+            if path not in open_files:
+                open_files[path] = tracker.open(path), Path(path).stat().st_size
+            fh, size = open_files[path]
+            record = warc.read_stored(fh, path, size, entry.offset, entry.stored_length)
+            yield record, warc.RecordLocation(path, entry.offset, entry.stored_length)
     finally:
         for fh, _ in open_files.values():
             fh.close()
 
 
 def fetch_records(
-    entries: Iterable[CdxEntry], warc_dir, tracker: Optional[IoTracker] = None
+    entries: Iterable[CdxEntry], warc_files, tracker: Optional[IoTracker] = None
 ) -> tuple[list[warc.WarcRecord], Measurement]:
     tracker = tracker or IoTracker()
-    records = list(iter_fetch_records(entries, warc_dir, tracker))
+    records = [record for record, _ in iter_fetch_records(entries, warc_files, tracker)]
     return records, tracker.measurement(records_out=len(records))

@@ -3,8 +3,10 @@
 The canonical schema is shared by both containers: one row per archived
 response with the URL key, typed timestamp, HTTP metadata, payload digest,
 raw HTTP header text, and the payload bytes.  :func:`to_canonical` is the
-only derivation of these columns from a record; the CDX index stores a
-projection of its row.
+only derivation of these columns from a record.  :func:`response_rows` is
+the one source of the rows of WARC files (for the CDX index, the converter
+and both WARC query backends): it keeps the response records, and an error
+of the derivation names the record's file@offset.
 
 :func:`epoch_ms` and its inverse :func:`utc_fields` are the one conversion
 between UTC calendar fields and epoch ms.  The WARC-Date, the CDX stamp and
@@ -161,6 +163,20 @@ def to_canonical(record: warc.WarcRecord) -> CanonicalRecord:
     )
 
 
+def response_rows(pairs: Iterable[tuple[warc.WarcRecord, warc.RecordLocation]]) -> Iterator[tuple]:
+    """(row, location, record) for each response record of pairs, the dataset
+    a WARC file holds.  A BadDate or NotAbsoluteUrl from the derivation is
+    raised again as the same class, prefixed with the record's file@offset."""
+    for record, loc in pairs:
+        if record.record_type != "response":
+            continue
+        try:
+            row = to_canonical(record)
+        except (BadDate, NotAbsoluteUrl) as exc:
+            raise type(exc)(f"{loc.file}@{loc.offset}: {exc}") from None
+        yield row, loc, record
+
+
 def _external_sort(rows: Iterator[tuple], key_idx: int, schema: CarcSchema, tmp_dir) -> Iterator[tuple]:
     """Sort an arbitrarily large row stream stably: each _SPILL_BYTES run but
     the last is sorted and spilled to an uncompressed RARC file in tmp_dir,
@@ -238,20 +254,18 @@ def convert(
     schema = CANONICAL_SCHEMA_TEXT_TS if timestamp_as_text else CANONICAL_SCHEMA
     warc_files = [str(f) for f in warc_files]
 
-    counts = {"in": 0, "out": 0, "excluded": 0}
+    counts = {"in": 0, "out": 0}
+
+    def scanned() -> Iterator[tuple[warc.WarcRecord, warc.RecordLocation]]:
+        for file in warc_files:
+            for pair in warc.scan_warc(file):
+                counts["in"] += 1
+                yield pair
 
     def rows() -> Iterator[tuple]:
-        for file in warc_files:
-            for record, _loc in warc.scan_warc(file):
-                counts["in"] += 1
-                if record.record_type != "response":
-                    counts["excluded"] += 1
-                    continue
-                row = to_canonical(record)
-                if timestamp_as_text:
-                    row = row[:2] + (record.warc_date_raw,) + row[3:]
-                counts["out"] += 1
-                yield row
+        for row, _loc, record in response_rows(scanned()):
+            counts["out"] += 1
+            yield row[:2] + (record.warc_date_raw,) + row[3:] if timestamp_as_text else row
 
     try:
         stream: Iterable[tuple] = rows()
@@ -292,7 +306,7 @@ def convert(
         codec=codec,
         in_count=counts["in"],
         out_count=counts["out"],
-        excluded=counts["excluded"],
+        excluded=counts["in"] - counts["out"],
         output=str(out_path),
         path=str(out_dir / f"manifest.{target}.txt"),
     )

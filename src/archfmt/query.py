@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Optional
 from urllib.parse import urldefrag, urljoin
 
@@ -59,10 +58,6 @@ class DatasetPaths:
     carc: Optional[str] = None
     rarc: Optional[str] = None
 
-    @property
-    def warc_dir(self) -> str:
-        return str(Path(self.warc_files[0]).parent)
-
     def source(self, backend: str):
         """What backend reads first; BackendUnavailable if unknown or not given."""
         inputs = {"warc": self.warc_files, "warc_cdx": self.cdx, "carc": self.carc, "rarc": self.rarc}
@@ -92,7 +87,8 @@ def _scan(
     carc reads only the chunks it needs of the row groups the planner keeps.
     warc_cdx has parse_cdx decode only the index lines pred matches, and
     answers from the CDX alone when every column is a CDX column, else
-    fetches the records.  warc and rarc filter full canonical rows.
+    fetches the records.  warc and rarc filter full canonical rows; both
+    WARC backends take theirs from convert.response_rows.
     bytes_view is passed to the container readers.
     """
     source = paths.source(backend)
@@ -101,27 +97,21 @@ def _scan(
             source, projection=columns, pred=pred, tracker=tracker, bytes_view=bytes_view
         )
         return
-    if backend == "warc_cdx":
-        entries = cdx.parse_cdx(source, pred, tracker)
-        if all(c in cdx.CDX_COLUMNS for c in columns):
-            yield from (tuple(getattr(e, c) for c in columns) for e in entries)
-            return
-        paths.source("warc")  # the records are read from the WARC files
-        records = cdx.iter_fetch_records(list(entries), paths.warc_dir, tracker)  # index pass first
-        rows = (convert.to_canonical(record) for record in records)
+    if backend == "rarc":
+        rows = rarc.read_rarc(source, tracker=tracker, bytes_view=bytes_view)
     else:
-        if backend == "warc":
-            rows = (
-                convert.to_canonical(record)
-                for file in source
-                for record, _loc in warc.scan_warc(file, tracker=tracker)
-                if record.record_type == "response"
-            )
+        if backend == "warc_cdx":
+            entries = cdx.parse_cdx(source, pred, tracker)
+            if all(c in cdx.CDX_COLUMNS for c in columns):
+                yield from (tuple(getattr(e, c) for c in columns) for e in entries)
+                return
+            pairs = cdx.iter_fetch_records(list(entries), paths.source("warc"), tracker)  # index pass first
         else:
-            rows = rarc.read_rarc(source, tracker=tracker, bytes_view=bytes_view)
-        if pred is not None:
-            key = COL[pred.column]
-            rows = (row for row in rows if pred.matches(row[key]))
+            pairs = (pair for file in source for pair in warc.scan_warc(file, tracker=tracker))
+        rows = (row for row, _, _ in convert.response_rows(pairs))
+    if pred is not None and backend != "warc_cdx":
+        key = COL[pred.column]
+        rows = (row for row in rows if pred.matches(row[key]))
     pick = [COL[c] for c in columns]
     for row in rows:
         yield tuple(row[i] for i in pick)

@@ -203,13 +203,10 @@ def scan_warc(
             yield record, RecordLocation(file, start, base + pos - start)
 
 
-def decode_stored(raw: bytes, file: str, offset: int, mode: str = "auto") -> WarcRecord:
-    """Decode the stored bytes of exactly one record (member-gzip or plain)."""
-    if mode == "auto":
-        mode = "member_gzip" if raw[:2] == GZIP_MAGIC else "plain"
-    if mode == "member_gzip":
-        if raw[:2] != GZIP_MAGIC:
-            raise BadOffset(file, offset, "no gzip member starts here")
+def decode_stored(raw: bytes, file: str, offset: int) -> WarcRecord:
+    """Decode the stored bytes of exactly one record: a gzip member if they
+    start with the gzip magic, else a plain record."""
+    if raw[:2] == GZIP_MAGIC:
         try:
             raw = gzip.decompress(raw)
         except (OSError, EOFError, zlib.error) as exc:
@@ -220,23 +217,21 @@ def decode_stored(raw: bytes, file: str, offset: int, mode: str = "auto") -> War
         raise BadOffset(file, offset, str(exc)) from None
 
 
-def read_stored(fh, file: str, size: int, offset: int, length: int, mode: str = "auto") -> WarcRecord:
+def read_stored(fh, file: str, size: int, offset: int, length: int) -> WarcRecord:
     """Decode the record stored in the length bytes at offset of fh, an open
     file of size bytes, with one positioned read; BadOffset unless those
     bytes lie inside the file.  Every positioned record read goes through here."""
     if not (0 <= offset and 0 <= length and offset + length <= size):
         raise BadOffset(file, offset, f"{length} bytes at {offset} do not lie inside its {size} bytes")
-    return decode_stored(fh.pread(offset, length), file, offset, mode)
+    return decode_stored(fh.pread(offset, length), file, offset)
 
 
-def read_record_at(
-    file, location: RecordLocation, mode: str = "auto", tracker: Optional[IoTracker] = None
-) -> WarcRecord:
+def read_record_at(file, location: RecordLocation, tracker: Optional[IoTracker] = None) -> WarcRecord:
     """Read exactly one record with a single positioned read of stored_length bytes."""
     file = str(file)
     tracker = tracker or IoTracker()
     with tracker.open(file) as fh:
-        return read_stored(fh, file, os.path.getsize(file), location.offset, location.stored_length, mode)
+        return read_stored(fh, file, os.path.getsize(file), location.offset, location.stored_length)
 
 
 def serialize_record(record: WarcRecord) -> bytes:

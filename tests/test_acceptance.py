@@ -252,7 +252,7 @@ def test_criterion_6_type3_scan_advantage(dataset, tmp_path_factory):
     [(lo, hi)] = selectivity_ranges(paths.cdx, [0.05])
     lo14, hi14 = cdx.timestamp14_of(lo), cdx.timestamp14_of(hi)
     entries = [e for e in cdx.parse_cdx(paths.cdx) if lo14 <= e.timestamp14 <= hi14]
-    records = list(cdx.iter_fetch_records(entries, paths.warc_dir))
+    records = [r for r, _ in cdx.iter_fetch_records(entries, paths.warc_files)]
 
     warc_path = root / "derived.warc.gz"
     write_warc(records, warc_path, mode="member_gzip")

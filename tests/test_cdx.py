@@ -151,7 +151,7 @@ def test_parse_cdx_header_skipped(tmp_path):
 
 
 def test_fetch_records_empty():
-    records, m = fetch_records([], "/nonexistent")
+    records, m = fetch_records([], [])
     assert records == [] and m.seek_count == 0
 
 
@@ -161,7 +161,7 @@ def test_fetch_records_matches_scan(tmp_path):
     cdx_path = tmp_path / "ten.cdx"
     build_cdx([path], cdx_path)
     entries = list(parse_cdx(cdx_path))
-    records, m = fetch_records(entries, tmp_path)
+    records, m = fetch_records(entries, [path])
     assert m.seek_count == 10 and m.open_count == 1
     assert sorted(r.record_id for r in records) == sorted(
         r.record_id for r, _ in scan_warc(path)
@@ -178,7 +178,7 @@ def test_fetch_records_bad_offset(tmp_path):
 
     shifted = dataclasses.replace(entry, offset=entry.offset + 1)
     with pytest.raises(BadOffset):
-        fetch_records([shifted], tmp_path)
+        fetch_records([shifted], [path])
 
 
 def test_index_completeness(corpus):
@@ -187,7 +187,7 @@ def test_index_completeness(corpus):
     for f in paths.warc_files:
         scan_ids.extend(r.record_id for r, _ in scan_warc(f) if r.record_type == "response")
     entries = list(parse_cdx(paths.cdx))
-    fetched, _ = fetch_records(entries, paths.warc_dir)
+    fetched, _ = fetch_records(entries, paths.warc_files)
     assert sorted(r.record_id for r in fetched) == sorted(scan_ids)
 
 
@@ -269,7 +269,7 @@ def test_fetch_records_length_past_end_is_bad_offset(tmp_path, stored_length):
     build_cdx([path], tmp_path / "one.cdx")
     [entry] = parse_cdx(tmp_path / "one.cdx")
     with pytest.raises(BadOffset, match=re.escape(f"{path}@0: ")):
-        fetch_records([dataclasses.replace(entry, stored_length=stored_length)], tmp_path)
+        fetch_records([dataclasses.replace(entry, stored_length=stored_length)], [path])
 
 
 # --- predicate scans and the line walker ---------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from archfmt import cdx
 from archfmt.bench import selectivity_ranges, selectivity_url_lists
 from archfmt.convert import convert
-from archfmt.errors import BackendUnavailable
+from archfmt.errors import ArchfmtError, BackendUnavailable, BadDate, BadOffset, NotAbsoluteUrl, SchemaMismatch
 from archfmt.query import (
     BACKENDS,
     DatasetPaths,
@@ -347,3 +347,80 @@ def test_extract_text_collapses_every_unicode_space():
     spaces = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
     html = f"<p>{spaces}a{spaces}b &#12288; c{spaces}</p>".encode("utf-8")
     assert extract_text(html, "text/html") == "a b c"
+
+
+# --- the located row source ---------------------------------------------------
+
+def _two_directory_dataset(tmp_path, names=("x.warc", "y.warc")):
+    """Two WARC files in the directories a/ and b/, indexed into one CDX."""
+    files = []
+    for i, (directory, name) in enumerate(zip("ab", names)):
+        (tmp_path / directory).mkdir()
+        files.append(str(tmp_path / directory / name))
+        write_warc(synth_records(3, seed=60 + i), files[-1], mode="plain")
+    cdx_path = tmp_path / "both.cdx"
+    cdx.build_cdx(files, cdx_path)
+    return DatasetPaths(warc_files=tuple(files), cdx=str(cdx_path))
+
+
+def test_warc_cdx_reads_warc_files_in_two_directories(tmp_path):
+    paths = _two_directory_dataset(tmp_path)
+    for kind in ("count", "meta", "records"):
+        spec = QuerySpec(kind=kind)
+        want = run_query(spec, "warc", paths)
+        got = run_query(spec, "warc_cdx", paths)
+        assert got.record_ids_digest == want.record_ids_digest, kind
+        assert sorted(got.rows) == sorted(want.rows), kind
+    assert run_query(QuerySpec(kind="count"), "warc", paths).rows == [6]
+
+
+def test_warc_files_sharing_a_name_are_a_typed_error(tmp_path):
+    paths = _two_directory_dataset(tmp_path, names=("x.warc", "x.warc"))
+    with pytest.raises(ArchfmtError) as exc:
+        run_query(QuerySpec(kind="records"), "warc_cdx", paths)
+    assert all(f in str(exc.value) for f in paths.warc_files)
+    with pytest.raises(ArchfmtError):
+        list(cdx.iter_fetch_records([], paths.warc_files))
+
+
+def test_cdx_name_not_among_the_warc_files_is_bad_offset(tmp_path):
+    paths = _two_directory_dataset(tmp_path)
+    with pytest.raises(BadOffset, match=r"y\.warc@0: not among the WARC files given"):
+        run_query(QuerySpec(kind="records"), "warc_cdx", DatasetPaths(paths.warc_files[:1], paths.cdx))
+
+
+@pytest.mark.parametrize("field, error", [("warc_date", BadDate), ("target_uri", NotAbsoluteUrl)])
+def test_a_row_error_names_its_file_and_offset_on_every_path(tmp_path, field, error):
+    from archfmt.warc import make_record
+
+    good = synth_records(1, seed=70)
+    bad = dict(record_id="<urn:uuid:00000000-0000-4000-a000-000000000070>", record_type="response",
+               target_uri="http://bad.example/", warc_date="2018-05-21T08:00:00Z",
+               content_type="application/http; msgtype=response", block=b"HTTP/1.1 200 OK\r\n\r\nhi")
+    bad[field] = {"warc_date": "0999-12-31T23:59:59Z", "target_uri": "/relative/path"}[field]
+    warc_path = tmp_path / "x.warc"
+    [_, loc] = write_warc(good + [make_record(**bad)], warc_path, mode="plain")
+    where = f"x.warc@{loc.offset}: "
+    assert loc.offset > 0
+    runs = {
+        "build_cdx": lambda: cdx.build_cdx([warc_path], tmp_path / "x.cdx"),
+        "convert carc": lambda: convert([warc_path], "carc", tmp_path / "carc"),
+        "convert rarc": lambda: convert([warc_path], "rarc", tmp_path / "rarc"),
+        "warc query": lambda: run_query(QuerySpec(kind="count"), "warc", DatasetPaths((str(warc_path),))),
+    }
+    for name, run in runs.items():
+        with pytest.raises(error) as exc:
+            run()
+        assert type(exc.value) is error and where in str(exc.value), name
+
+
+@pytest.mark.parametrize("backend", ["carc", "rarc"])
+def test_time_range_on_a_text_timestamp_container_is_schema_mismatch(tmp_path, backend):
+    warc_path = tmp_path / "t.warc"
+    write_warc(synth_records(4, seed=71), warc_path, mode="plain")
+    out = convert([warc_path], backend, tmp_path / backend, timestamp_as_text=True).output
+    paths = DatasetPaths(**{backend: out})
+    with pytest.raises(SchemaMismatch, match="column timestamp"):
+        run_query(QuerySpec(kind="count", time_range=(0, 2**40)), backend, paths)
+    keys = tuple(sorted(row[0] for row in run_query(QuerySpec(kind="meta"), backend, paths).rows))
+    assert run_query(QuerySpec(kind="count", urlkeys=keys), backend, paths).rows == [4]

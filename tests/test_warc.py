@@ -114,7 +114,7 @@ def test_roundtrip_field_by_field_and_location_soundness(tmp_path, mode):
         assert sum(loc.stored_length for loc in locs) == os.path.getsize(path)
         for original, (readback, loc) in zip(records, scanned):
             assert readback == original
-            again = read_record_at(path, loc, mode=mode)
+            again = read_record_at(path, loc)
             assert again == original
         # Non-overlap: each record starts exactly where the previous ended.
         pos = 0
