@@ -67,3 +67,11 @@ def corpus(tmp_path_factory):
             rarc=rarc_manifest.output,
         ),
     }
+
+
+def pytest_collection_modifyitems(items):
+    """Run the tests of the full-scale acceptance dataset last, in their own
+    order.  At the default 200k records that dataset takes about 12 min to
+    build and its five tests about 35 min to run, so every other test of the
+    session reports before it."""
+    items.sort(key=lambda item: "dataset" in getattr(item, "fixturenames", ()))
