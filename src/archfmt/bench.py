@@ -217,36 +217,29 @@ def selectivity_url_lists(cdx_path, targets: Sequence[float], seed: int = 0) -> 
 
 # --- suite runner ---------------------------------------------------------------
 
+SEEK_MS, MB_PER_S = 10.0, 100.0  # the cost model: ms a seek, MiB/s of transfer
+
+
 @dataclass
 class SuiteConfig:
     paths: DatasetPaths
-    out_csv: str
+    out_csv: str  # scan_extract outputs go beside it
     backends: tuple[str, ...] = query.BACKENDS
     tasks: tuple[str, ...] = TASKS
     selectivities: tuple[float, ...] = (0.001, 0.01, 0.1, 0.5, 1.0)
     repeats: int = 3
-    seek_ms: float = 10.0
-    mb_per_s: float = 100.0
+    seek_ms: float = SEEK_MS
+    mb_per_s: float = MB_PER_S
     extractor: str = "links"
     seed: int = 0
-    work_dir: Optional[str] = None  # scan_extract outputs
 
 
-def modeled_ms(m: Measurement, seek_ms: float = 10.0, mb_per_s: float = 100.0) -> float:
+def modeled_ms(m: Measurement, seek_ms: float = SEEK_MS, mb_per_s: float = MB_PER_S) -> float:
     return m.seek_count * seek_ms + m.bytes_read / (mb_per_s * (1 << 20)) * 1000.0
 
 
 def _dataset_bytes(backend: str, paths: DatasetPaths) -> int:
-    total = 0
-    if backend in ("warc", "warc_cdx"):
-        total += sum(Path(f).stat().st_size for f in paths.warc_files)
-        if backend == "warc_cdx" and paths.cdx:
-            total += Path(paths.cdx).stat().st_size
-    elif backend == "carc" and paths.carc:
-        total = Path(paths.carc).stat().st_size
-    elif backend == "rarc" and paths.rarc:
-        total = Path(paths.rarc).stat().st_size
-    return total
+    return sum(Path(f).stat().st_size for f in paths.files(backend))
 
 
 def _task_specs(task: str, config: SuiteConfig) -> list[tuple[float, Optional[QuerySpec]]]:
@@ -258,14 +251,11 @@ def _task_specs(task: str, config: SuiteConfig) -> list[tuple[float, Optional[Qu
     cdx_path = config.paths.cdx
     if cdx_path is None:
         raise EquivalenceFailure("predicated tasks need a CDX index to derive selectivities")
+    kind = "meta" if task in ("t2", "t3") else "records"
     if task in ("t2", "t4"):
-        kind = "meta" if task == "t2" else "records"
         ranges = selectivity_ranges(cdx_path, config.selectivities)
-        return [
-            (s, QuerySpec(kind, time_range=r)) for s, r in zip(config.selectivities, ranges)
-        ]
+        return [(s, QuerySpec(kind, time_range=r)) for s, r in zip(config.selectivities, ranges)]
     if task in ("t3", "t5"):
-        kind = "meta" if task == "t3" else "records"
         lists = selectivity_url_lists(cdx_path, config.selectivities, config.seed)
         return [(s, QuerySpec(kind, urlkeys=u)) for s, u in zip(config.selectivities, lists)]
     if task == "single_url":
@@ -277,15 +267,14 @@ def _task_specs(task: str, config: SuiteConfig) -> list[tuple[float, Optional[Qu
 
 
 def _run_cell(
-    task: str, spec: Optional[QuerySpec], backend: str, config: SuiteConfig, repeat: int
+    task: str, spec: Optional[QuerySpec], backend: str, config: SuiteConfig
 ) -> tuple[Measurement, str]:
     if spec is None:  # t6: scan_extract
-        work = Path(config.work_dir or Path(config.out_csv).parent)
+        work = Path(config.out_csv).parent
         work.mkdir(parents=True, exist_ok=True)
         out = work / f"derived-{task}-{backend}.tsv"
         _, m = query.scan_extract(backend, config.paths, config.extractor, out)
-        digest = _file_digest(out)
-        return m, digest
+        return m, _file_digest(out)
     result = query.run_query(spec, backend, config.paths, keep_rows=False)
     return result.measurement, result.record_ids_digest
 
@@ -314,7 +303,7 @@ def run_suite(config: SuiteConfig) -> str:
             digests: dict[str, str] = {}
             for backend in config.backends:
                 for repeat in range(config.repeats):
-                    m, digest = _run_cell(task, spec, backend, config, repeat)
+                    m, digest = _run_cell(task, spec, backend, config)
                     if backend in digests and digests[backend] != digest:
                         raise EquivalenceFailure(
                             f"{task}@{selectivity}: {backend} not deterministic across repeats"
@@ -448,15 +437,11 @@ def emit_report(csv_path, out_dir) -> list[str]:
         sizes.setdefault(r["backend"], int(r["dataset_bytes"]))
     lines = ["format\tbytes\tratio_vs_warc\treference_full_scale_ratio"]
     warc_size = sizes.get("warc")
-    for backend in ("warc", "warc_cdx", "carc", "rarc"):
+    for backend in query.BACKENDS:
         if backend not in sizes:
             continue
         ratio = f"{sizes[backend] / warc_size:.3f}" if warc_size else "-"
-        ref = (
-            f"{REFERENCE_SIZES_TB[backend] / REFERENCE_SIZES_TB['warc']:.3f}"
-            if backend in REFERENCE_SIZES_TB
-            else "-"
-        )
+        ref = f"{REFERENCE_SIZES_TB[backend] / REFERENCE_SIZES_TB['warc']:.3f}"
         lines.append(f"{backend}\t{sizes[backend]}\t{ratio}\t{ref}")
     size_path = out_dir / "sizes.tsv"
     size_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -238,8 +238,8 @@ def _decode_chunk(raw: bytes, col: Column, row_count: int, bytes_view: bool = Fa
 
 # --- footer serialization ----------------------------------------------------
 
-_CODEC_ID = {"none": 0, "gzip": 1}
-_CODEC_NAME = {v: k for k, v in _CODEC_ID.items()}
+CODEC_ID = {"none": 0, "gzip": 1}
+_CODEC_NAME = {v: k for k, v in CODEC_ID.items()}
 _MAX_INFLATE = 1032  # deflate expands its input at most about 1032-fold
 # what a hostile chunk or block raises in decode; readers add its file@offset
 _DECODE_ERRORS = (struct.error, UnicodeDecodeError, IndexError, DecompressFailure)
@@ -313,7 +313,7 @@ def _serialize_footer(footer: CarcFooter) -> bytes:
     out += b"\x03" + struct.pack("<I", 8) + struct.pack("<Q", footer.total_rows)
     sk = footer.sort_key.encode("utf-8") if footer.sort_key else b""
     out += b"\x04" + struct.pack("<I", len(sk)) + sk
-    out += b"\x05" + struct.pack("<I", 1) + bytes([_CODEC_ID[footer.codec]])
+    out += b"\x05" + struct.pack("<I", 1) + bytes([CODEC_ID[footer.codec]])
     return bytes(out)
 
 
@@ -366,7 +366,7 @@ def write_carc(
     compresslevel: int = 3,
 ) -> str:
     """Stream rows into a CARC file; verifies sort_key order when claimed."""
-    if codec not in _CODEC_ID:
+    if codec not in CODEC_ID:
         raise SchemaMismatch(f"unknown codec {codec!r}")
     out_path = str(out_path)
     sort_idx = schema.index_of(sort_key) if sort_key else None

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Optional
 from . import convert, warc
 from .carc import ScanPredicate
 from .convert import canonicalize_url  # noqa: F401 (the urlkey codec, importable from here)
-from .errors import ArchfmtError, BadCdxLine, BadFieldCount, BadOffset, BadTimestamp
+from .errors import ArchfmtError, BadCdxLine, BadDate, BadFieldCount, BadOffset, BadTimestamp
 from .httpmsg import http_status
 from .iostats import IoTracker, Measurement
 
@@ -221,7 +221,9 @@ def iter_fetch_records(
     entries: Iterable[CdxEntry], warc_files, tracker: Optional[IoTracker] = None
 ) -> Iterator[tuple[warc.WarcRecord, warc.RecordLocation]]:
     """(record, location) for each entry, in entry order, with one positioned
-    read each.  An entry's bare file name is looked up among warc_files."""
+    read each.  An entry's bare file name is looked up among warc_files.  The
+    record read must be the response the line describes, of its url and
+    timestamp: a stale or forged line is BadOffset naming file@offset."""
     tracker = tracker or IoTracker()
     by_name: dict[str, str] = {}
     for path in map(str, warc_files):
@@ -237,10 +239,20 @@ def iter_fetch_records(
                 open_files[path] = tracker.open(path), Path(path).stat().st_size
             fh, size = open_files[path]
             record = warc.read_stored(fh, path, size, entry.offset, entry.stored_length)
+            if not _describes(entry, record):
+                raise BadOffset(path, entry.offset, f"not the record of the CDX line {entry.to_line()}")
             yield record, warc.RecordLocation(path, entry.offset, entry.stored_length)
     finally:
         for fh, _ in open_files.values():
             fh.close()
+
+
+def _describes(entry: CdxEntry, record: warc.WarcRecord) -> bool:
+    try:
+        return (record.record_type == entry.record_type and record.target_uri == entry.url
+                and convert.parse_warc_date(record.warc_date_raw) == entry.timestamp)
+    except BadDate:
+        return False
 
 
 def fetch_records(

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import bench, cdx, query
-from .convert import MAX_MS, MIN_MS, canonicalize_url, convert as _convert, parse_warc_date
+from . import bench, carc, cdx, query
+from .convert import MAX_MS, MIN_MS, SORT_KEYS, canonicalize_url, convert as _convert, parse_warc_date
 from .errors import ArchfmtError, IoFailure
 from .query import DatasetPaths, QuerySpec
 
@@ -28,29 +28,32 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="archfmt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # gen, convert and bench pass on only the options given, under the library's
+    # parameter names, so an omitted option takes the library's default.
+    omit = argparse.SUPPRESS
 
-    p = sub.add_parser("gen", help="generate a deterministic synthetic WARC corpus")
-    p.add_argument("--records", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p = sub.add_parser("gen", help="generate a deterministic synthetic WARC corpus", argument_default=omit)
+    p.add_argument("--records", dest="record_count", type=int, required=True)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--domains", type=int, default=50)
-    p.add_argument("--payload-mean", type=int, default=4096)
-    p.add_argument("--html-fraction", type=float, default=0.9)
-    p.add_argument("--redundancy", type=float, default=0.7)
+    p.add_argument("--domains", dest="domain_count", type=int)
+    p.add_argument("--payload-mean", dest="payload_mean_bytes", type=int)
+    p.add_argument("--html-fraction", type=float)
+    p.add_argument("--redundancy", dest="template_redundancy", type=float)
 
     p = sub.add_parser("index", help="build a sorted CDX index from WARC files")
     p.add_argument("warcs", nargs="+")
     p.add_argument("--out", required=True, help="CDX output path")
 
-    p = sub.add_parser("convert", help="convert WARC files to CARC or RARC")
-    p.add_argument("warcs", nargs="+")
+    p = sub.add_parser("convert", help="convert WARC files to CARC or RARC", argument_default=omit)
+    p.add_argument("warc_files", metavar="warcs", nargs="+")
     p.add_argument("--target", choices=("carc", "rarc"), required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--sort", choices=("none", "timestamp", "urlkey"), default="none")
-    p.add_argument("--codec", choices=("none", "gzip"), default="gzip")
-    p.add_argument("--rows-per-group", type=int, default=4096)
-    p.add_argument("--rows-per-block", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sort", choices=SORT_KEYS)
+    p.add_argument("--codec", choices=carc.CODEC_ID)
+    p.add_argument("--rows-per-group", type=int)
+    p.add_argument("--rows-per-block", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--timestamp-as-text", action="store_true",
                    help="store the timestamp column as raw text (disables pushdown)")
 
@@ -66,20 +69,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--projection", default=",".join(query.DEFAULT_META_PROJECTION),
                    help="comma-separated metadata columns (meta queries)")
 
-    p = sub.add_parser("bench", help="run the task suite and write a CSV")
-    p.add_argument("--warc", nargs="+", required=True)
+    p = sub.add_parser("bench", help="run the task suite and write a CSV", argument_default=omit)
+    p.add_argument("--warc", dest="warc_files", nargs="+", required=True)
     p.add_argument("--cdx")
     p.add_argument("--carc")
     p.add_argument("--rarc")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--tasks", default="t1,t2,t3,t4,t5,t6,single_url")
-    p.add_argument("--backends", default=",".join(query.BACKENDS))
-    p.add_argument("--selectivities", default="0.001,0.01,0.1,0.5,1.0")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seek-ms", type=float, default=10.0)
-    p.add_argument("--mb-per-s", type=float, default=100.0)
-    p.add_argument("--extractor", choices=("text", "links"), default="links")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", dest="out_csv", required=True, help="CSV output path")
+    p.add_argument("--tasks", help="comma-separated")
+    p.add_argument("--backends", help="comma-separated")
+    p.add_argument("--selectivities", help="comma-separated")
+    p.add_argument("--repeats", type=int)
+    p.add_argument("--seek-ms", type=float)
+    p.add_argument("--mb-per-s", type=float)
+    p.add_argument("--extractor", choices=("text", "links"))
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("report", help="render SVG charts and tables from a bench CSV")
     p.add_argument("--csv", required=True)
@@ -96,19 +99,15 @@ def _parse_instant(s: str, end: bool) -> int:
     return ms + 999 if end and to_second else ms
 
 
+_QUERY_FLAGS = {"warc_files": "--warc", "cdx": "--cdx", "carc": "--data", "rarc": "--data"}
+
+
 def _query_paths(args) -> DatasetPaths:
-    if args.backend in ("warc", "warc_cdx") and not args.warc:
-        raise UsageError(f"backend {args.backend} requires --warc")
-    if args.backend == "warc_cdx" and not args.cdx:
-        raise UsageError("backend warc_cdx requires --cdx")
-    if args.backend in ("carc", "rarc") and not args.data:
-        raise UsageError(f"backend {args.backend} requires --data")
-    return DatasetPaths(
-        warc_files=tuple(args.warc),
-        cdx=args.cdx,
-        carc=args.data if args.backend == "carc" else None,
-        rarc=args.data if args.backend == "rarc" else None,
-    )
+    paths = DatasetPaths(tuple(args.warc), args.cdx, args.data, args.data)
+    missing = [_QUERY_FLAGS[name] for name in paths.INPUTS[args.backend] if not getattr(paths, name)]
+    if missing:
+        raise UsageError(f"backend {args.backend} requires {' and '.join(missing)}")
+    return paths
 
 
 def _query_spec(args) -> QuerySpec:
@@ -127,15 +126,9 @@ def _query_spec(args) -> QuerySpec:
 
 
 def _cmd_gen(args) -> int:
-    spec = bench.SyntheticSpec(
-        record_count=args.records,
-        domain_count=args.domains,
-        payload_mean_bytes=args.payload_mean,
-        html_fraction=args.html_fraction,
-        template_redundancy=args.redundancy,
-        seed=args.seed,
-    )
-    for path in bench.generate_corpus(spec, args.out):
+    opts = vars(args)
+    out = opts.pop("out")
+    for path in bench.generate_corpus(bench.SyntheticSpec(**opts), out):
         print(path)
     return 0
 
@@ -146,18 +139,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    manifest = _convert(
-        args.warcs,
-        target=args.target,
-        out_dir=args.out_dir,
-        sort=args.sort,
-        rows_per_group=args.rows_per_group,
-        rows_per_block=args.rows_per_block,
-        codec=args.codec,
-        seed=args.seed,
-        timestamp_as_text=args.timestamp_as_text,
-    )
-    print(manifest.path)
+    print(_convert(**vars(args)).path)
     return 0
 
 
@@ -173,22 +155,12 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    paths = DatasetPaths(
-        warc_files=tuple(args.warc), cdx=args.cdx, carc=args.carc, rarc=args.rarc
-    )
-    config = bench.SuiteConfig(
-        paths=paths,
-        out_csv=args.out,
-        backends=tuple(args.backends.split(",")),
-        tasks=tuple(args.tasks.split(",")),
-        selectivities=tuple(float(s) for s in args.selectivities.split(",")),
-        repeats=args.repeats,
-        seek_ms=args.seek_ms,
-        mb_per_s=args.mb_per_s,
-        extractor=args.extractor,
-        seed=args.seed,
-    )
-    print(bench.run_suite(config))
+    opts = vars(args)
+    paths = DatasetPaths(tuple(opts.pop("warc_files")), *(opts.pop(name, None) for name in ("cdx", "carc", "rarc")))
+    for name, item in (("tasks", str), ("backends", str), ("selectivities", float)):
+        if name in opts:
+            opts[name] = tuple(map(item, opts[name].split(",")))
+    print(bench.run_suite(bench.SuiteConfig(paths, **opts)))
     return 0
 
 
@@ -212,7 +184,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[vars(args).pop("command")](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -56,7 +56,7 @@ CANONICAL_SCHEMA_TEXT_TS = CarcSchema(
 
 COL = {c.name: i for i, c in enumerate(CANONICAL_SCHEMA.columns)}
 
-_SORT_KEYS = {"none": None, "timestamp": COL["timestamp"], "urlkey": COL["urlkey"]}
+SORT_KEYS = {"none": None, "timestamp": COL["timestamp"], "urlkey": COL["urlkey"]}
 _SPILL_BYTES = 256 << 20  # external sort chunk budget
 
 _EPOCH_DAY = date(1970, 1, 1).toordinal()
@@ -246,7 +246,7 @@ def convert(
     plus a manifest."""
     if target not in ("carc", "rarc"):
         raise ArchfmtError(f"unknown target {target!r}")
-    if sort not in _SORT_KEYS:
+    if sort not in SORT_KEYS:
         raise ArchfmtError(f"unknown sort {sort!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,7 +269,7 @@ def convert(
 
     try:
         stream: Iterable[tuple] = rows()
-        key_idx = _SORT_KEYS[sort]
+        key_idx = SORT_KEYS[sort]
         if key_idx is not None:
             stream = _external_sort(stream, key_idx, schema, out_dir)
         if target == "carc":

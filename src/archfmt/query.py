@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Optional
 from urllib.parse import urldefrag, urljoin
 
 from . import carc, cdx, convert, rarc, warc
@@ -21,7 +21,6 @@ from .convert import COL
 from .errors import ArchfmtError, BackendUnavailable, UnknownColumn
 from .iostats import IoTracker, Measurement
 
-BACKENDS = ("warc", "warc_cdx", "carc", "rarc")
 KINDS = ("count", "meta", "records")
 COLUMNS = tuple(COL)  # canonical schema order
 META_COLUMNS = tuple(c for c in COLUMNS if c not in ("payload", "http_headers"))
@@ -58,12 +57,25 @@ class DatasetPaths:
     carc: Optional[str] = None
     rarc: Optional[str] = None
 
+    # The fields each backend reads, the one it reads first leading.
+    INPUTS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "warc": ("warc_files",), "warc_cdx": ("cdx", "warc_files"), "carc": ("carc",), "rarc": ("rarc",),
+    }
+
     def source(self, backend: str):
         """What backend reads first; BackendUnavailable if unknown or not given."""
-        inputs = {"warc": self.warc_files, "warc_cdx": self.cdx, "carc": self.carc, "rarc": self.rarc}
-        if not inputs.get(backend):
+        value = getattr(self, self.INPUTS[backend][0]) if backend in self.INPUTS else None
+        if not value:
             raise BackendUnavailable(f"backend {backend!r} is unknown or has no input")
-        return inputs[backend]
+        return value
+
+    def files(self, backend: str) -> list:
+        """Every file backend reads, of those given; none for an unknown backend."""
+        values = [getattr(self, name) for name in self.INPUTS.get(backend, ())]
+        return [f for v in values if v for f in (v if isinstance(v, (tuple, list)) else (v,))]
+
+
+BACKENDS = tuple(DatasetPaths.INPUTS)
 
 
 @dataclass

@@ -19,7 +19,7 @@ import random
 import struct
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .carc import _CODEC_ID, _CODEC_NAME, _DECODE_ERRORS, CarcSchema, _check_value, compress, inflate
+from .carc import CODEC_ID, _CODEC_NAME, _DECODE_ERRORS, CarcSchema, _check_value, compress, inflate
 from .errors import BadMagic, DecompressFailure, SchemaMismatch, SyncLost
 from .iostats import IoTracker, Measurement
 
@@ -105,13 +105,13 @@ def write_rarc(
     compresslevel: int = 3,
 ) -> str:
     """Stream rows into an RARC file; the sync marker derives from seed."""
-    if codec not in _CODEC_ID:
+    if codec not in CODEC_ID:
         raise SchemaMismatch(f"unknown codec {codec!r}")
     out_path = str(out_path)
     sync = random.Random(seed).randbytes(SYNC_LEN)
     schema_text = schema.to_text().encode("utf-8")
     with open(out_path, "wb") as out:
-        head = _HEADER.pack(MAGIC, VERSION, _CODEC_ID[codec], len(schema_text))
+        head = _HEADER.pack(MAGIC, VERSION, CODEC_ID[codec], len(schema_text))
         out.write(head + schema_text + sync)
         buffer: list[Sequence] = []
         for row in rows:

@@ -105,7 +105,6 @@ def test_suite_single_cell(bench_dataset, tmp_path):
         tasks=("t1",),
         selectivities=(1.0,),
         repeats=1,
-        work_dir=str(tmp_path),
     )
     out = run_suite(config)
     with open(out) as fh:
@@ -123,7 +122,6 @@ def test_suite_t4_sweep_shapes(bench_dataset, tmp_path):
         tasks=("t4",),
         selectivities=(0.01, 0.1, 0.5, 1.0),
         repeats=2,
-        work_dir=str(tmp_path),
     )
     out = run_suite(config)
     with open(out) as fh:
@@ -168,7 +166,6 @@ def test_report_outputs(bench_dataset, tmp_path):
         tasks=("t2",),
         selectivities=(0.1, 1.0),
         repeats=1,
-        work_dir=str(tmp_path),
     )
     out = run_suite(config)
     files = emit_report(out, tmp_path / "report")

@@ -272,6 +272,17 @@ def test_fetch_records_length_past_end_is_bad_offset(tmp_path, stored_length):
         fetch_records([dataclasses.replace(entry, stored_length=stored_length)], [path])
 
 
+def test_fetch_of_a_line_whose_timestamp_differs_is_bad_offset(tmp_path):
+    import dataclasses
+
+    path = tmp_path / "one.warc"
+    write_warc(synth_records(1), path)
+    build_cdx([path], tmp_path / "one.cdx")
+    [entry] = parse_cdx(tmp_path / "one.cdx")
+    with pytest.raises(BadOffset, match=re.escape(f"{path}@0: not the record of the CDX line ")):
+        fetch_records([dataclasses.replace(entry, timestamp=entry.timestamp + 1)], [path])
+
+
 # --- predicate scans and the line walker ---------------------------------------
 
 def _write_cdx(path, entries, newline="\n"):

@@ -1,11 +1,17 @@
 import csv
+import os
 import shutil
+from pathlib import Path
 
 import pytest
 
 from archfmt import query
-from archfmt.cli import main
+from archfmt.bench import SyntheticSpec, generate_corpus
+from archfmt.cli import _COMMANDS, _build_parser, main
+from archfmt.convert import convert
+from archfmt.query import DatasetPaths
 from test_carc import HOSTILE_FOOTERS, HOSTILE_IDS, write_hostile_footer
+from test_query import forged_index
 
 
 def run(capsys, *argv):
@@ -78,6 +84,40 @@ def test_query_missing_cdx_flag(cli_dataset, capsys):
     assert out == ""
 
 
+def test_query_names_every_missing_input_flag(capsys):
+    code, out, err = run(capsys, "query", "count", "--backend", "warc_cdx")
+    assert (code, out) == (1, "")
+    assert "--cdx" in err and "--warc" in err
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["gen", "--records", "1", "--out", "o"], {"record_count", "out"}),
+    (["convert", "w.warc", "--target", "carc", "--out-dir", "o"], {"warc_files", "target", "out_dir"}),
+    (["bench", "--warc", "w.warc", "--out", "b.csv"], {"warc_files", "out_csv"}),
+])
+def test_an_omitted_option_is_not_passed_on(argv, keys):
+    """So the library's default applies, written only in the library."""
+    assert set(vars(_build_parser().parse_args(argv))) == {"command"} | keys
+
+
+def test_cli_defaults_write_what_the_library_defaults_write(tmp_path, capsys):
+    code, out, _ = run(capsys, "gen", "--records", "12", "--out", str(tmp_path / "cli"))
+    [warc] = out.split()
+    [want] = generate_corpus(SyntheticSpec(record_count=12), tmp_path / "lib")
+    assert code == 0 and Path(warc).read_bytes() == Path(want).read_bytes()
+    for target in ("carc", "rarc"):
+        assert main(["convert", warc, "--target", target, "--out-dir", str(tmp_path / f"cli-{target}")]) == 0
+        want = convert([warc], target, tmp_path / f"lib-{target}").output
+        assert (tmp_path / f"cli-{target}" / f"data.{target}").read_bytes() == Path(want).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [[]] + [[command] for command in _COMMANDS])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: archfmt")
+
+
 def test_unknown_flag_is_usage_error(capsys):
     capsys.readouterr()
     code, _, err = run(capsys, "gen", "--records", "1", "--out", "x", "--bogus")
@@ -128,6 +168,10 @@ def test_bench_and_report_end_to_end(cli_dataset, tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     # t1 runs once per backend; t2 once per backend per selectivity
     assert len(rows) == 4 + 4 * 2
+    paths = DatasetPaths((cli_dataset["warc"],), cli_dataset["cdx"], cli_dataset["carc"], cli_dataset["rarc"])
+    assert paths.files("warc_cdx") == [cli_dataset["cdx"], cli_dataset["warc"]]
+    for r in rows:
+        assert int(r["dataset_bytes"]) == sum(os.path.getsize(f) for f in paths.files(r["backend"]))
     code, out, _ = run(capsys, "report", "--csv", out_csv, "--out-dir", str(tmp_path / "rep"))
     assert code == 0
     assert any(p.endswith(".svg") for p in out.strip().splitlines())
@@ -300,3 +344,11 @@ def test_time_bound_on_a_text_timestamp_container_is_data_error(tmp_path, capsys
     code, out, err = run(capsys, "query", "count", "--backend", target, "--data", data,
                          "--from", "20180520000000")
     assert (code, out) == (2, "") and err.startswith("error: column timestamp: "), err
+
+
+def test_warc_cdx_record_not_of_its_cdx_line_is_data_error(tmp_path, capsys):
+    paths = forged_index(tmp_path)
+    code, out, err = run(capsys, "query", "records", "--backend", "warc_cdx",
+                         "--warc", *paths.warc_files, "--cdx", paths.cdx)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "f.warc@0: not the record of the CDX line example,a)/ " in err

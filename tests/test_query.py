@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -16,7 +17,7 @@ from archfmt.query import (
     run_query,
     scan_extract,
 )
-from archfmt.warc import write_warc
+from archfmt.warc import make_record, write_warc
 
 from conftest import synth_records
 
@@ -149,6 +150,16 @@ def test_missing_artifact_raises(corpus):
     for backend in ("warc_cdx", "carc", "rarc"):
         with pytest.raises(BackendUnavailable):
             run_query(QuerySpec(kind="count"), backend, paths)
+
+
+def test_dataset_paths_files_lists_every_input_of_a_backend():
+    paths = DatasetPaths(("a.warc", "b.warc"), "i.cdx", None, "d.rarc")
+    assert {b: paths.files(b) for b in BACKENDS} == {
+        "warc": ["a.warc", "b.warc"], "warc_cdx": ["i.cdx", "a.warc", "b.warc"], "carc": [], "rarc": ["d.rarc"],
+    }
+    assert paths.source("warc_cdx") == "i.cdx" and paths.files("bogus") == []
+    with pytest.raises(BackendUnavailable):
+        paths.source("bogus")
 
 
 # --- extractors --------------------------------------------------------------
@@ -424,3 +435,32 @@ def test_time_range_on_a_text_timestamp_container_is_schema_mismatch(tmp_path, b
         run_query(QuerySpec(kind="count", time_range=(0, 2**40)), backend, paths)
     keys = tuple(sorted(row[0] for row in run_query(QuerySpec(kind="meta"), backend, paths).rows))
     assert run_query(QuerySpec(kind="count", urlkeys=keys), backend, paths).rows == [4]
+
+
+def forged_index(tmp_path) -> DatasetPaths:
+    """A WARC of a request and a response of a.example and a response of
+    b.example, and a CDX whose a.example line points at the request and
+    whose b.example line points at a.example's response."""
+    def record(i, kind, url):
+        return make_record(f"<urn:uuid:00000000-0000-4000-b000-{i:012d}>", kind, url, "2018-05-21T08:00:00Z",
+                           f"application/http; msgtype={kind}", b"HTTP/1.1 200 OK\r\n\r\nhi")
+
+    warc_path, cdx_path = tmp_path / "f.warc", tmp_path / "f.cdx"
+    request, response_a, _ = write_warc(
+        [record(0, "request", "http://a.example/"), record(1, "response", "http://a.example/"),
+         record(2, "response", "http://b.example/")], warc_path)
+    cdx.build_cdx([warc_path], cdx_path)
+    entries = [dataclasses.replace(e, offset=loc.offset, stored_length=loc.stored_length)
+               for e, loc in zip(cdx.parse_cdx(cdx_path), (request, response_a))]
+    cdx_path.write_text("".join(line + "\n" for line in [cdx.CDX_HEADER] + [e.to_line() for e in entries]))
+    return DatasetPaths((str(warc_path),), str(cdx_path))
+
+
+def test_warc_cdx_fetch_must_be_the_record_of_its_line(tmp_path):
+    paths = forged_index(tmp_path)
+    assert run_query(QuerySpec(kind="count"), "warc_cdx", paths).rows == [2]  # the CDX alone
+    with pytest.raises(BadOffset, match=r"f\.warc@0: not the record of the CDX line example,a\)/ "):
+        run_query(QuerySpec(kind="records"), "warc_cdx", paths)
+    _, b_line = cdx.parse_cdx(paths.cdx)
+    with pytest.raises(BadOffset, match=rf"f\.warc@{b_line.offset}: .* line example,b\)/ "):
+        run_query(QuerySpec(kind="records", urlkeys=("example,b)/",)), "warc_cdx", paths)
