@@ -29,7 +29,7 @@ from .errors import (
     UnknownColumn,
     UnsortedInput,
 )
-from .iostats import IoTracker, Measurement
+from .iostats import IoTracker
 
 MAGIC = b"CARC"
 VERSION = 1
@@ -202,8 +202,16 @@ def _truncate_max(b: bytes) -> Optional[bytes]:
     return None  # all 0xFF: no finite upper bound
 
 
-def _decode_chunk(raw: bytes, col: Column, row_count: int, bytes_view: bool = False) -> list:
-    """The row_count values of one raw chunk: None where the bitmap marks a null."""
+def _decode_chunk(
+    raw: bytes, col: Column, row_count: int, bytes_view: bool = False, rows: Optional[Sequence[int]] = None
+) -> list:
+    """The values of one raw chunk at the ascending row indices rows (every
+    row when None): None where the bitmap marks a null.
+
+    The bitmap, every value length and the chunk's end are checked whatever
+    rows holds, but only the values returned are built, so a STRING value is
+    checked to be UTF-8 only when it is returned.
+    """
     bitmap_len = (row_count + 7) // 8
     bits = int.from_bytes(raw[:bitmap_len], "little")
     if len(raw) < bitmap_len or bits >> row_count:
@@ -212,28 +220,38 @@ def _decode_chunk(raw: bytes, col: Column, row_count: int, bytes_view: bool = Fa
     if present < row_count and not col.nullable:
         raise DecompressFailure(f"null in non-nullable column {col.name}")
     if col.ctype == "INT64":
-        values = list(struct.unpack_from(f"<{present}q", raw, bitmap_len))
+        ints = struct.unpack_from(f"<{present}q", raw, bitmap_len)
         pos = bitmap_len + 8 * present
     else:
-        is_str = col.ctype == "STRING"
         unpack_len = _LEN_STRUCT.unpack_from
         # slice through a memoryview: avoids materializing intermediate copies
         # of the (potentially large) chunk body
         view = memoryview(raw)
-        values = []
+        bounds = [bitmap_len]  # where each value's length field starts, then the end of the last value
         pos = bitmap_len
         for _ in range(present):
             (n,) = unpack_len(view, pos)
-            pos += 4
-            chunk = view[pos : pos + n]
-            pos += n
-            values.append(str(chunk, "utf-8") if is_str else (chunk if bytes_view else bytes(chunk)))
+            pos += 4 + n
+            bounds.append(pos)
     if pos != len(raw):
         raise DecompressFailure(f"chunk holds {len(raw) - pos} bytes past its values")
     if present == row_count:
-        return values
-    it = iter(values)  # scattered to the rows the bitmap marks present
-    return [next(it) if raw[i >> 3] >> (i & 7) & 1 else None for i in range(row_count)]
+        at = range(present) if rows is None else rows  # the index among the present values of each row
+    else:
+        slot, k = [], 0
+        for i in range(row_count):
+            if raw[i >> 3] >> (i & 7) & 1:
+                slot.append(k)
+                k += 1
+            else:
+                slot.append(None)
+        at = slot if rows is None else [slot[i] for i in rows]
+    if col.ctype == "INT64":
+        return [None if k is None else ints[k] for k in at]
+    if col.ctype == "STRING":
+        return [None if k is None else str(view[bounds[k] + 4 : bounds[k + 1]], "utf-8") for k in at]
+    cut = view if bytes_view else raw  # a slice of the bytes raw is a copy
+    return [None if k is None else cut[bounds[k] + 4 : bounds[k + 1]] for k in at]
 
 
 # --- footer serialization ----------------------------------------------------
@@ -510,8 +528,11 @@ def read_carc(
     """Yield the projection's fields, in projection order, of rows matching
     pred, in file row order.  projection=None means every schema column.
 
-    Only the chunks of projected and predicate columns of planned groups
-    are read.  Pass a tracker to collect the I/O measurement.
+    Of each planned group, the predicate column's chunk is read and decoded
+    first.  A group with no matching row reads nothing more; otherwise the
+    chunks of the projected columns are read, and each is checked whole but
+    builds only the values of the matching rows (see _decode_chunk).  Pass a
+    tracker to collect the I/O measurement.
 
     With bytes_view=True, BYTES values are yielded as zero-copy memoryview
     slices over the decoded chunk; call bytes() on a value to detach it.
@@ -524,36 +545,31 @@ def read_carc(
         names = [c.name for c in schema.columns] if projection is None else projection
         proj_idx = [schema.index_of(name) for name in names]
         pred_idx = None if pred is None else schema.index_of(pred.column)
-        need_idx = sorted(set(proj_idx + ([] if pred is None else [pred_idx])))  # file order
+
+        def chunk_values(g: RowGroupMeta, ci: int, rows: Optional[list[int]] = None) -> list:
+            c = g.chunks[ci]
+            off, clen = c.chunk_offset, c.chunk_compressed_len
+            if not 6 <= off <= data_end - clen:
+                raise FooterCorrupt(f"{file}@{off}: chunk of {clen} bytes runs outside the data")
+            try:
+                return _decode_chunk(
+                    inflate(fh.pread(off, clen), c.chunk_uncompressed_len, footer.codec),
+                    schema.columns[ci], g.row_count, bytes_view, rows,
+                )
+            except _DECODE_ERRORS as exc:
+                raise DecompressFailure(f"{file}@{off}: {exc}") from None
 
         for gi in plan_row_groups(footer, pred):
             g = footer.row_groups[gi]
-            decoded = {}
-            for ci in need_idx:
-                c = g.chunks[ci]
-                off, clen = c.chunk_offset, c.chunk_compressed_len
-                if not 6 <= off <= data_end - clen:
-                    raise FooterCorrupt(f"{file}@{off}: chunk of {clen} bytes runs outside the data")
-                try:
-                    decoded[ci] = _decode_chunk(
-                        inflate(fh.pread(off, clen), c.chunk_uncompressed_len, footer.codec),
-                        schema.columns[ci], g.row_count, bytes_view,
-                    )
-                except _DECODE_ERRORS as exc:
-                    raise DecompressFailure(f"{file}@{off}: {exc}") from None
+            decoded, rows, n = {}, None, g.row_count
+            if pred is not None:
+                keys = chunk_values(g, pred_idx)
+                rows = [i for i, value in enumerate(keys) if pred.matches(value)]
+                if not rows:
+                    continue
+                decoded[pred_idx] = [keys[i] for i in rows]
+                n = len(rows)
+            for ci in sorted(set(proj_idx) - decoded.keys()):  # file order
+                decoded[ci] = chunk_values(g, ci, rows)
             cols = [decoded[ci] for ci in proj_idx]
-            rows = zip(*cols) if cols else repeat((), g.row_count)
-            if pred is None:
-                yield from rows
-            else:
-                for value, row in zip(decoded[pred_idx], rows):
-                    if pred.matches(value):
-                        yield row
-
-
-def read_carc_rows(
-    file, projection=None, pred=None
-) -> tuple[list[tuple], Measurement]:
-    tracker = IoTracker()
-    rows = list(read_carc(file, projection, pred, tracker))
-    return rows, tracker.measurement(records_out=len(rows))
+            yield from zip(*cols) if cols else repeat((), n)

@@ -39,7 +39,7 @@ from .carc import ScanPredicate
 from .convert import canonicalize_url  # noqa: F401 (the urlkey codec, importable from here)
 from .errors import ArchfmtError, BadCdxLine, BadDate, BadFieldCount, BadOffset, BadTimestamp
 from .httpmsg import http_status
-from .iostats import IoTracker, Measurement
+from .iostats import IoTracker
 
 CDX_HEADER = " CDX N b a m s k S V g"
 CDX_COLUMNS = ("urlkey", "url", "timestamp", "record_type", "mime", "status", "digest")
@@ -254,10 +254,3 @@ def _describes(entry: CdxEntry, record: warc.WarcRecord) -> bool:
     except BadDate:
         return False
 
-
-def fetch_records(
-    entries: Iterable[CdxEntry], warc_files, tracker: Optional[IoTracker] = None
-) -> tuple[list[warc.WarcRecord], Measurement]:
-    tracker = tracker or IoTracker()
-    records = [record for record, _ in iter_fetch_records(entries, warc_files, tracker)]
-    return records, tracker.measurement(records_out=len(records))

@@ -25,6 +25,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(map(float, text.split(",")))  # a ValueError is argparse's usage error
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="archfmt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -75,9 +83,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--carc")
     p.add_argument("--rarc")
     p.add_argument("--out", dest="out_csv", required=True, help="CSV output path")
-    p.add_argument("--tasks", help="comma-separated")
-    p.add_argument("--backends", help="comma-separated")
-    p.add_argument("--selectivities", help="comma-separated")
+    p.add_argument("--tasks", type=_names, help="comma-separated")
+    p.add_argument("--backends", type=_names, help="comma-separated")
+    p.add_argument("--selectivities", type=_numbers, help="comma-separated")
     p.add_argument("--repeats", type=int)
     p.add_argument("--seek-ms", type=float)
     p.add_argument("--mb-per-s", type=float)
@@ -157,9 +165,6 @@ def _cmd_query(args) -> int:
 def _cmd_bench(args) -> int:
     opts = vars(args)
     paths = DatasetPaths(tuple(opts.pop("warc_files")), *(opts.pop(name, None) for name in ("cdx", "carc", "rarc")))
-    for name, item in (("tasks", str), ("backends", str), ("selectivities", float)):
-        if name in opts:
-            opts[name] = tuple(map(item, opts[name].split(",")))
     print(bench.run_suite(bench.SuiteConfig(paths, **opts)))
     return 0
 

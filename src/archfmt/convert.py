@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from urllib.parse import urlsplit
 
 from . import carc, rarc, warc
-from .carc import CarcSchema, Column
+from .carc import CarcSchema, Column, ScanPredicate
 from .errors import ArchfmtError, BadDate, IoFailure, NotAbsoluteUrl
 from .httpmsg import http_fields, payload_digest
 
@@ -144,16 +144,28 @@ def parse_warc_date(s: str) -> int:
         raise BadDate(f"{s!r}: {exc}") from None
 
 
-def to_canonical(record: warc.WarcRecord) -> CanonicalRecord:
-    """Flatten one WARC record: the one derivation of every canonical column
-    (the CDX entry of a record is a projection of this row)."""
-    status, mime, headers, payload = http_fields(record.content_type, record.block)
+_HEADER_COLUMNS = ("urlkey", "url", "timestamp", "record_type")  # what the WARC headers give; they lead the schema
+_NO_HTTP_FIELDS = (None,) * (len(COL) - len(_HEADER_COLUMNS))  # the rest of a row response_rows leaves underived
+
+
+def _header_fields(record: warc.WarcRecord) -> tuple[str, str, int, str]:
+    """The columns of a record that its WARC headers give, each derived and
+    checked: (urlkey, url, timestamp ms, record type)."""
     url = record.target_uri
+    return canonicalize_url(url) if url else "", url, parse_warc_date(record.warc_date_raw), record.record_type
+
+
+def to_canonical(record: warc.WarcRecord, head: Optional[tuple[str, str, int, str]] = None) -> CanonicalRecord:
+    """Flatten one WARC record: the one derivation of every canonical column
+    (the CDX entry of a record is a projection of this row).  head is the
+    record's _header_fields when they are already derived."""
+    urlkey, url, timestamp_ms, record_type = head or _header_fields(record)
+    status, mime, headers, payload = http_fields(record.content_type, record.block)
     return CanonicalRecord(
-        urlkey=canonicalize_url(url) if url else "",
+        urlkey=urlkey,
         url=url,
-        timestamp_ms=parse_warc_date(record.warc_date_raw),
-        record_type=record.record_type,
+        timestamp_ms=timestamp_ms,
+        record_type=record_type,
         mime=mime,
         status=status,
         digest=payload_digest(payload),
@@ -163,18 +175,37 @@ def to_canonical(record: warc.WarcRecord) -> CanonicalRecord:
     )
 
 
-def response_rows(pairs: Iterable[tuple[warc.WarcRecord, warc.RecordLocation]]) -> Iterator[tuple]:
-    """(row, location, record) for each response record of pairs, the dataset
-    a WARC file holds.  A BadDate or NotAbsoluteUrl from the derivation is
-    raised again as the same class, prefixed with the record's file@offset."""
+def response_rows(
+    pairs: Iterable[tuple[warc.WarcRecord, warc.RecordLocation]],
+    pred: Optional[ScanPredicate] = None,
+    columns: Optional[Iterable[str]] = None,
+) -> Iterator[tuple]:
+    """(row, location, record) for each response record of pairs whose row
+    pred matches (every one when pred is None), the dataset a WARC file holds.
+
+    The urlkey and the timestamp of every response record are derived, so
+    the same records fail whatever is asked.  The rest of a row, which needs
+    the HTTP split and the payload digest, is derived by to_canonical only
+    for the records pred matches, and only when pred or columns (every
+    column when None) names a column the WARC headers do not give; otherwise
+    those fields of the row hold None.  A BadDate or NotAbsoluteUrl from the
+    derivation is raised again as the same class, prefixed with the
+    record's file@offset."""
+    early = pred is not None and pred.column in _HEADER_COLUMNS  # tested before the HTTP split
+    full = columns is None or not set(columns) <= set(_HEADER_COLUMNS) or (pred is not None and not early)
+    key = None if pred is None else COL[pred.column]
     for record, loc in pairs:
         if record.record_type != "response":
             continue
         try:
-            row = to_canonical(record)
+            head = _header_fields(record)
+            if early and not pred.matches(head[key]):
+                continue
+            row = to_canonical(record, head) if full else CanonicalRecord(*head, *_NO_HTTP_FIELDS)
         except (BadDate, NotAbsoluteUrl) as exc:
             raise type(exc)(f"{loc.file}@{loc.offset}: {exc}") from None
-        yield row, loc, record
+        if early or pred is None or pred.matches(row[key]):
+            yield row, loc, record
 
 
 def _external_sort(rows: Iterator[tuple], key_idx: int, schema: CarcSchema, tmp_dir) -> Iterator[tuple]:

@@ -13,6 +13,8 @@ the host's page cache.  Conventions:
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -37,17 +39,20 @@ class TrackedFile:
 
     def read(self, n: int = -1) -> bytes:
         data = self._fh.read(n)
-        self._tracker.bytes_read += len(data)
+        self._tracker.count(nbytes=len(data))
         return data
 
     def seek(self, offset: int) -> None:
-        self._tracker.seek_count += 1
+        self._tracker.count(seeks=1)
         self._fh.seek(offset)
 
     def pread(self, offset: int, n: int) -> bytes:
-        """One positioned read: a seek plus a read of exactly n bytes."""
-        self.seek(offset)
-        return self.read(n)
+        """One positioned read of n bytes, fewer only at the end of the file:
+        counted as a seek plus a read.  It leaves the position read and seek
+        use alone, so threads may share the handle for pread."""
+        data = os.pread(self._fh.fileno(), n, offset)
+        self._tracker.count(seeks=1, nbytes=len(data))
+        return data
 
     def close(self) -> None:
         self._fh.close()
@@ -66,14 +71,20 @@ class IoTracker:
     seek_count: int = 0
     open_count: int = 0
     _t0: float = field(default_factory=time.perf_counter)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def open(self, path, sequential: bool = False) -> TrackedFile:
         fh = open(path, "rb")
-        self.open_count += 1
-        if sequential:
-            # scan start: the cursor is positioned once
-            self.seek_count += 1
+        # a scan start positions the cursor once
+        self.count(seeks=int(sequential), opens=1)
         return TrackedFile(fh, self)
+
+    def count(self, seeks: int = 0, nbytes: int = 0, opens: int = 0) -> None:
+        """Add to the counters; exact when threads share the tracker."""
+        with self._lock:
+            self.seek_count += seeks
+            self.bytes_read += nbytes
+            self.open_count += opens
 
     def measurement(self, records_out: int = 0) -> Measurement:
         return Measurement(

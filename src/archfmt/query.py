@@ -96,36 +96,33 @@ def _scan(
 ) -> Iterator[tuple]:
     """Yield a tuple of exactly `columns`, in that order, per row matching pred.
 
-    carc reads only the chunks it needs of the row groups the planner keeps.
-    warc_cdx has parse_cdx decode only the index lines pred matches, and
-    answers from the CDX alone when every column is a CDX column, else
-    fetches the records.  warc and rarc filter full canonical rows; both
-    WARC backends take theirs from convert.response_rows.
-    bytes_view is passed to the container readers.
+    Every backend tests pred on its column before it builds the others, and
+    builds those only for the rows that match.  carc reads only the chunks
+    it needs of the row groups the planner keeps, and of a group only the
+    predicate chunk when no row matches.  rarc walks every row of every
+    block.  warc_cdx has parse_cdx decode only the index lines pred matches,
+    and answers from the CDX alone when every column is a CDX column, else
+    fetches the records.  Both WARC backends take their rows from
+    convert.response_rows, which derives the urlkey and timestamp of every
+    record, and the HTTP split and digest only of a matching record that
+    needs them.  bytes_view is passed to the container readers.
     """
     source = paths.source(backend)
-    if backend == "carc":
-        yield from carc.read_carc(
-            source, projection=columns, pred=pred, tracker=tracker, bytes_view=bytes_view
-        )
+    if backend in ("carc", "rarc"):
+        reader = carc.read_carc if backend == "carc" else rarc.read_rarc
+        yield from reader(source, projection=columns, pred=pred, tracker=tracker, bytes_view=bytes_view)
         return
-    if backend == "rarc":
-        rows = rarc.read_rarc(source, tracker=tracker, bytes_view=bytes_view)
+    if backend == "warc_cdx":
+        entries = cdx.parse_cdx(source, pred, tracker)
+        if all(c in cdx.CDX_COLUMNS for c in columns):
+            yield from (tuple(getattr(e, c) for c in columns) for e in entries)
+            return
+        pairs = cdx.iter_fetch_records(list(entries), paths.source("warc"), tracker)  # index pass first
+        pred = None  # the index has applied it
     else:
-        if backend == "warc_cdx":
-            entries = cdx.parse_cdx(source, pred, tracker)
-            if all(c in cdx.CDX_COLUMNS for c in columns):
-                yield from (tuple(getattr(e, c) for c in columns) for e in entries)
-                return
-            pairs = cdx.iter_fetch_records(list(entries), paths.source("warc"), tracker)  # index pass first
-        else:
-            pairs = (pair for file in source for pair in warc.scan_warc(file, tracker=tracker))
-        rows = (row for row, _, _ in convert.response_rows(pairs))
-    if pred is not None and backend != "warc_cdx":
-        key = COL[pred.column]
-        rows = (row for row in rows if pred.matches(row[key]))
+        pairs = (pair for file in source for pair in warc.scan_warc(file, tracker=tracker))
     pick = [COL[c] for c in columns]
-    for row in rows:
+    for row, _, _ in convert.response_rows(pairs, pred, columns):
         yield tuple(row[i] for i in pick)
 
 

@@ -17,11 +17,14 @@ from __future__ import annotations
 import os
 import random
 import struct
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .carc import CODEC_ID, _CODEC_NAME, _DECODE_ERRORS, CarcSchema, _check_value, compress, inflate
+from .carc import (
+    CODEC_ID, CTYPES, _CODEC_NAME, _DECODE_ERRORS, _LEN_STRUCT, CarcSchema, ScanPredicate, _check_value, compress,
+    inflate,
+)
 from .errors import BadMagic, DecompressFailure, SchemaMismatch, SyncLost
-from .iostats import IoTracker, Measurement
+from .iostats import IoTracker
 
 MAGIC = b"RARC"
 VERSION = 1
@@ -30,6 +33,7 @@ _HEADER = struct.Struct("<4sHBI")  # magic, version, codec id, schema text lengt
 _BLOCK_HEAD = struct.Struct("<IQQ")
 _READ_CHUNK = 1 << 16  # marker search read size
 _MAX_SCHEMA = 1 << 20
+_INT_STRUCT = struct.Struct("<q")
 
 
 def encode_rows(rows: Sequence[Sequence], schema: CarcSchema) -> bytes:
@@ -52,39 +56,64 @@ def encode_rows(rows: Sequence[Sequence], schema: CarcSchema) -> bytes:
     return b"".join(parts)
 
 
-def decode_rows(
-    raw: bytes, schema: CarcSchema, count: int, bytes_view: bool = False
-) -> list[tuple]:
-    """Decode count rows from a block payload.
+def row_layout(schema: CarcSchema, columns: Optional[Sequence[int]] = None) -> tuple[tuple[bool, int, bool], ...]:
+    """What decode_rows walks in a row of schema, per column: (nullable,
+    0 INT64 / 1 STRING / 2 BYTES, whether it is built), every column built
+    when columns, the indices of the columns to build, is None."""
+    return tuple((col.nullable, CTYPES.index(col.ctype), columns is None or ci in columns)
+                 for ci, col in enumerate(schema.columns))
 
-    With bytes_view=True, BYTES values are zero-copy memoryview slices over
-    raw; call bytes() on a value to detach it.
+
+def decode_rows(
+    raw: bytes,
+    layout: tuple[tuple[bool, int, bool], ...],
+    count: int,
+    bytes_view: bool = False,
+    rows: Optional[Sequence[int]] = None,
+) -> list[tuple]:
+    """Decode the rows at the indices rows (every row when None) of the count
+    rows of a block payload, in block order, each as a tuple of the columns
+    the layout (see row_layout) builds, in schema order.
+
+    Every null flag and value length of every row is walked, so a block that
+    does not frame fails whatever is built; other fields and rows are
+    skipped unbuilt, so a STRING value is checked to be UTF-8 only when it
+    is returned.  With bytes_view=True, BYTES values are zero-copy
+    memoryview slices over raw; call bytes() on a value to detach it.
     """
-    rows = []
+    unpack_len = _LEN_STRUCT.unpack_from
     view = memoryview(raw) if bytes_view else raw
+    taken = None if rows is None else set(rows)
+    walk = layout if rows is None else tuple((nullable, kind, False) for nullable, kind, _ in layout)  # of a row not taken
+    out = []
     pos = 0
-    for _ in range(count):
+    for r in range(count):
+        take = taken is None or r in taken
         fields = []
-        for col in schema.columns:
-            if col.nullable:
+        for nullable, kind, built in layout if take else walk:
+            if nullable:
                 present = raw[pos]
                 pos += 1
                 if not present:
-                    fields.append(None)
+                    if built:
+                        fields.append(None)
                     continue
-            if col.ctype == "INT64":
-                fields.append(struct.unpack_from("<q", raw, pos)[0])
+            if kind == 0:
+                if built:
+                    fields.append(_INT_STRUCT.unpack_from(raw, pos)[0])
                 pos += 8
             else:
-                (n,) = struct.unpack_from("<I", raw, pos)
+                (n,) = unpack_len(raw, pos)
                 pos += 4
-                b = view[pos : pos + n]
+                if built:
+                    b = view[pos : pos + n]
+                    fields.append(str(b, "utf-8") if kind == 1 else b)
                 pos += n
-                fields.append(str(b, "utf-8") if col.ctype == "STRING" else b)
-        rows.append(tuple(fields))
+        if take:
+            out.append(tuple(fields))
     if pos != len(raw):
         raise DecompressFailure(f"block payload has {len(raw) - pos} trailing bytes")
-    return rows
+    return out
 
 
 def encode_block(
@@ -143,15 +172,15 @@ def read_header(fh, file) -> tuple[CarcSchema, str, bytes, int]:
     return schema, _CODEC_NAME[codec_id], sync, _HEADER.size + schema_len + SYNC_LEN
 
 
-def _blocks(fh, file: str, header, offset: int, size: int, bytes_view: bool) -> Iterator[list]:
-    """Decode the blocks from offset, where fh stands, to the end of the file:
-    one list of rows per block.
+def _blocks(fh, file: str, header, offset: int, size: int, decode: Callable[[bytes, int], list]) -> Iterator[list]:
+    """The blocks from offset, where fh stands, to the end of the file: per
+    block, what decode makes of its inflated payload and row count.
 
     A block's stored length is checked against the file size before it is
     read, and its sync marker before inflate checks its uncompressed length,
     so a false marker tried by resync fails with SyncLost.
     """
-    schema, codec, sync, _ = header
+    _, codec, sync, _ = header
     while True:
         head = fh.read(_BLOCK_HEAD.size)
         if not head:
@@ -166,7 +195,7 @@ def _blocks(fh, file: str, header, offset: int, size: int, bytes_view: bool) -> 
         if fh.read(SYNC_LEN) != sync:
             raise SyncLost(file, end, "sync marker mismatch")
         try:
-            rows = decode_rows(inflate(stored, ulen, codec), schema, count, bytes_view)
+            rows = decode(inflate(stored, ulen, codec), count)
         except _DECODE_ERRORS as exc:
             raise DecompressFailure(f"{file}@{offset}: {exc}") from None
         yield rows
@@ -174,10 +203,18 @@ def _blocks(fh, file: str, header, offset: int, size: int, bytes_view: bool) -> 
 
 
 def read_rarc(
-    file, tracker: Optional[IoTracker] = None, bytes_view: bool = False
+    file,
+    tracker: Optional[IoTracker] = None,
+    bytes_view: bool = False,
+    projection: Optional[Sequence[str]] = None,
+    pred: Optional[ScanPredicate] = None,
 ) -> Iterator[tuple]:
-    """Yield all rows in write order with one sequential pass over the file.
+    """Yield the projection's fields, in projection order, of the rows
+    matching pred, in write order, with one sequential pass over the file.
+    projection=None means every schema column.
 
+    Of each block, the predicate column is decoded first, and the projected
+    columns are built only for the rows it matches (see decode_rows).
     bytes_view is forwarded to decode_rows; a view pins the block it was cut
     from and stays valid for as long as it is held.
     """
@@ -186,20 +223,34 @@ def read_rarc(
     size = os.path.getsize(file)
     with tracker.open(file, sequential=True) as fh:
         header = read_header(fh, file)
-        for rows in _blocks(fh, file, header, header[3], size, bytes_view):
-            yield from rows
+        schema = header[0]
+        names = [c.name for c in schema.columns] if projection is None else projection
+        proj_idx = [schema.index_of(name) for name in names]
+        built = sorted(set(proj_idx))  # the fields decode_rows builds, in schema order
+        pick = [built.index(ci) for ci in proj_idx]
+        whole = pick == list(range(len(built)))
+        layout = row_layout(schema, built)
+        key_layout = None if pred is None else row_layout(schema, (schema.index_of(pred.column),))
 
+        def decode(raw: bytes, count: int) -> list:
+            rows = None
+            if pred is not None:
+                keys = decode_rows(raw, key_layout, count)
+                rows = [i for i, (value,) in enumerate(keys) if pred.matches(value)]
+                if not rows:
+                    return []
+            return decode_rows(raw, layout, count, bytes_view, rows)
 
-def read_rarc_rows(file, tracker: Optional[IoTracker] = None) -> tuple[list[tuple], Measurement]:
-    tracker = tracker or IoTracker()
-    rows = list(read_rarc(file, tracker))
-    return rows, tracker.measurement(records_out=len(rows))
+        for rows in _blocks(fh, file, header, header[3], size, decode):
+            for row in rows:
+                yield row if whole else tuple([row[i] for i in pick])
 
 
 def _find_marker(fh, sync: bytes, start: int) -> Optional[int]:
     """Seek fh to just past the first copy of sync at or after offset start and
     return that offset, or None if the file holds no further copy."""
-    buf = fh.pread(start, _READ_CHUNK)
+    fh.seek(start)
+    buf = fh.read(_READ_CHUNK)
     base = start
     while (idx := buf.find(sync)) < 0:
         chunk = fh.read(_READ_CHUNK)
@@ -227,10 +278,15 @@ def resync(file, start_offset: int, tracker: Optional[IoTracker] = None) -> Iter
     with tracker.open(file, sequential=True) as fh:
         header = read_header(fh, file)
         sync, pos = header[2], header[3]
+        layout = row_layout(header[0])
+
+        def decode(raw: bytes, count: int) -> list:
+            return decode_rows(raw, layout, count)
+
         if start_offset > pos:
             pos = _find_marker(fh, sync, start_offset - SYNC_LEN)
         while pos is not None:
-            blocks = _blocks(fh, file, header, pos, size, False)
+            blocks = _blocks(fh, file, header, pos, size, decode)
             try:
                 first = next(blocks, [])
             except SyncLost:

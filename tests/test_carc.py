@@ -18,18 +18,19 @@ from archfmt.carc import (
     _serialize_footer,
     plan_row_groups,
     read_carc,
-    read_carc_rows,
     read_footer,
     write_carc,
 )
 from archfmt.errors import (
     ArchfmtError,
     BadMagic,
+    DecompressFailure,
     FooterCorrupt,
     StatlessColumn,
     UnknownColumn,
     UnsortedInput,
 )
+from archfmt.iostats import IoTracker
 
 SCHEMA = CarcSchema(
     columns=(
@@ -61,8 +62,7 @@ def test_zero_rows(tmp_path):
     write_carc([], SCHEMA, path)
     footer = read_footer(path)
     assert footer.total_rows == 0 and footer.row_groups == []
-    rows, _ = read_carc_rows(path)
-    assert rows == []
+    assert list(read_carc(path)) == []
 
 
 def test_group_sizes_ceiling_division(tmp_path):
@@ -116,7 +116,8 @@ def test_projection_reads_only_projected_chunks(tmp_path):
     path = tmp_path / "proj.carc"
     write_carc(make_rows(10000), SCHEMA, path, rows_per_group=4096)
     footer = read_footer(path)
-    rows, m = read_carc_rows(path, projection=("timestamp",))
+    m = IoTracker()
+    rows = list(read_carc(path, projection=("timestamp",), tracker=m))
     assert len(rows) == 10000
     ts_idx = footer.schema.index_of("timestamp")
     chunk_bytes = sum(g.chunks[ts_idx].chunk_compressed_len for g in footer.row_groups)
@@ -131,7 +132,8 @@ def test_projection_reads_only_projected_chunks(tmp_path):
 
 def test_disjoint_predicate_reads_footer_only(tmp_path):
     path = write_ts_groups(tmp_path, "d.carc", [(0, 99), (100, 199), (200, 299)])
-    rows, m = read_carc_rows(path, pred=ScanPredicate.range("timestamp", 300, 400))
+    m = IoTracker()
+    rows = list(read_carc(path, pred=ScanPredicate.range("timestamp", 300, 400), tracker=m))
     assert rows == []
     chunk_total = sum(
         c.chunk_compressed_len for g in read_footer(path).row_groups for c in g.chunks
@@ -148,7 +150,7 @@ def test_set_predicate_matches_bruteforce(tmp_path):
     expected = [r for r in rows if r[0] == key]
     path = tmp_path / "s.carc"
     write_carc(rows, SCHEMA, path, rows_per_group=64)
-    got, _ = read_carc_rows(path, pred=ScanPredicate.isin("urlkey", [key]))
+    got = list(read_carc(path, pred=ScanPredicate.isin("urlkey", [key])))
     assert got == expected
 
 
@@ -158,8 +160,7 @@ def test_roundtrip_all_options(tmp_path, rows_per_group, codec):
     rows = make_rows(300, seed=rows_per_group)
     path = tmp_path / f"rt{rows_per_group}{codec}.carc"
     write_carc(rows, SCHEMA, path, rows_per_group=rows_per_group, codec=codec)
-    got, _ = read_carc_rows(path)
-    assert got == rows
+    assert list(read_carc(path)) == rows
 
 
 def test_pushdown_soundness_randomized(tmp_path):
@@ -176,8 +177,7 @@ def test_pushdown_soundness_randomized(tmp_path):
             keys = [r[0] for r in rng.sample(rows, min(3, len(rows)))] if rows else ["x)/"]
             pred = ScanPredicate.isin("urlkey", keys)
             oracle = [r for r in rows if r[0] in set(keys)]
-        got, _ = read_carc_rows(path, pred=pred)
-        assert got == oracle
+        assert list(read_carc(path, pred=pred)) == oracle
 
 
 def test_plan_row_groups_property_1000(tmp_path):
@@ -275,7 +275,8 @@ def test_projection_monotonicity(tmp_path):
     write_carc(make_rows(2000, seed=4), SCHEMA, path, rows_per_group=256)
     sizes = []
     for proj in [("timestamp",), ("timestamp", "urlkey"), None]:
-        _, m = read_carc_rows(path, projection=proj)
+        m = IoTracker()
+        list(read_carc(path, projection=proj, tracker=m))
         sizes.append(m.bytes_read)
     assert sizes == sorted(sizes)
 
@@ -345,8 +346,96 @@ def test_projection_order_is_kept(tmp_path):
     rows = make_rows(300, seed=8)
     path = tmp_path / "order.carc"
     write_carc(rows, SCHEMA, path, rows_per_group=64)
-    got, _ = read_carc_rows(path, projection=("timestamp", "urlkey", "timestamp"))
+    got = list(read_carc(path, projection=("timestamp", "urlkey", "timestamp")))
     assert got == [(r[1], r[0], r[1]) for r in rows]
+
+
+def _detached(row):
+    return tuple(bytes(v) if isinstance(v, memoryview) else v for v in row)
+
+
+def _predicates(rows, rng):
+    """Range and set predicates over rows: all rows, none, some, absent keys,
+    and a set on a column that holds nulls."""
+    stamps = sorted(r[1] for r in rows)
+    lo = rng.choice(stamps)
+    notes = [r[2] for r in rows if r[2] is not None]
+    return [
+        ScanPredicate.range("timestamp", stamps[0], stamps[-1]),
+        ScanPredicate.range("timestamp", stamps[-1] + 1, stamps[-1] + 10),
+        ScanPredicate.range("timestamp", lo, lo + 10**11),
+        ScanPredicate.isin("urlkey", [r[0] for r in rng.sample(rows, 3)] + ["absent)/"]),
+        ScanPredicate.isin("urlkey", ["absent)/"]),
+        ScanPredicate.isin("note", rng.sample(notes, 5) + ["absent"]),
+    ]
+
+
+PROJECTIONS = [None, (), ("payload",), ("timestamp",), ("note", "urlkey"), ("payload", "timestamp", "payload")]
+
+
+@pytest.mark.parametrize("rows_per_group", [1, 7, 64])
+@pytest.mark.parametrize("codec", ["none", "gzip"])
+def test_predicate_read_equals_filtered_full_read(tmp_path, rows_per_group, codec):
+    """read_carc(pred) is the brute-force filter of read_carc(), for every
+    projection, with the predicate column projected or not, and repeated."""
+    rng = random.Random(rows_per_group * 2 + (codec == "gzip"))
+    rows = make_rows(150, seed=rows_per_group)
+    path = tmp_path / "p.carc"
+    write_carc(rows, SCHEMA, path, rows_per_group=rows_per_group, codec=codec)
+    names = [c.name for c in SCHEMA.columns]
+    for bytes_view in (False, True):
+        full = list(read_carc(path, bytes_view=bytes_view))
+        assert [_detached(r) for r in full] == rows
+        assert all(isinstance(r[3], memoryview if bytes_view else bytes) for r in full)
+        for pred in _predicates(rows, rng):
+            key = names.index(pred.column)
+            for proj in PROJECTIONS:
+                idx = range(len(names)) if proj is None else [names.index(n) for n in proj]
+                want = [tuple(r[i] for i in idx) for r in rows if pred.matches(r[key])]
+                got = list(read_carc(path, projection=proj, pred=pred, bytes_view=bytes_view))
+                assert [_detached(r) for r in got] == want, (pred, proj)
+
+
+def test_group_without_a_match_reads_only_its_predicate_chunk(tmp_path):
+    path = write_ts_groups(tmp_path, "n.carc", [(0, 99), (100, 199), (200, 299)])
+    footer = read_footer(path)
+    ts = footer.schema.index_of("timestamp")
+    pred = ScanPredicate.range("timestamp", 10, 20)  # inside group 0's stats, between its rows 0, 49, 99
+    assert plan_row_groups(footer, pred) == [0]
+    m = IoTracker()
+    assert list(read_carc(path, pred=pred, tracker=m)) == []
+    chunk_total = sum(c.chunk_compressed_len for g in footer.row_groups for c in g.chunks)
+    footer_bytes = path.stat().st_size - chunk_total - 6
+    assert m.bytes_read == footer_bytes + footer.row_groups[0].chunks[ts].chunk_compressed_len
+    assert m.seek_count == 2 + 1  # trailer, footer, one chunk
+
+
+def with_bad_utf8(tmp_path, rows, writer, **opts):
+    """rows written with codec none, then the stored note of row 5 (its
+    first copy; a footer stat may hold another) overwritten by bytes of the
+    same length that are not UTF-8."""
+    path = tmp_path / "u.bin"
+    writer(rows, SCHEMA, path, codec="none", **opts)
+    note = rows[5][2].encode()
+    path.write_bytes(path.read_bytes().replace(note, b"\xff" * len(note), 1))
+    return path
+
+
+def test_utf8_is_checked_only_on_values_returned(tmp_path):
+    rows = make_rows(40, seed=41, ts=list(range(40)))
+    rows[5] = (rows[5][0], rows[5][1], "note-5", rows[5][3])
+    path = with_bad_utf8(tmp_path, rows, write_carc, rows_per_group=16)
+    where = re.escape(f"{path}@")
+    # the chunk is read and framed whole, but row 5's value is not returned
+    skip5 = ScanPredicate.range("timestamp", 6, 39)
+    assert list(read_carc(path, projection=("note",), pred=skip5)) == [(r[2],) for r in rows[6:]]
+    assert list(read_carc(path, projection=("timestamp",))) == [(r[1],) for r in rows]
+    for pred in (None, ScanPredicate.range("timestamp", 5, 5)):
+        with pytest.raises(DecompressFailure, match=where):
+            list(read_carc(path, projection=("note",), pred=pred))
+    # a predicate column is decoded for every row of a planned group
+    with pytest.raises(DecompressFailure, match=where):
+        list(read_carc(path, projection=(), pred=ScanPredicate.isin("note", ["n7"])))
 
 
 def test_scan_predicate_matches():
@@ -398,6 +487,13 @@ def test_hostile_footers_are_typed(tmp_path, codec, field, value):
         list(read_carc(path))
 
 
+FUZZ_PREDICATES = [
+    None,
+    ScanPredicate.range("timestamp", 0, 5 * 10**11),
+    ScanPredicate.isin("urlkey", [f"com,site{i})/p/{i}" for i in range(0, 120, 9)]),
+]
+
+
 @pytest.mark.parametrize("codec", ["none", "gzip"])
 def test_mutation_fuzz_raises_only_typed_errors(tmp_path, codec):
     path = tmp_path / "f.carc"
@@ -410,11 +506,12 @@ def test_mutation_fuzz_raises_only_typed_errors(tmp_path, codec):
         at = rng.randrange(len(data))
         mutated[at] = (mutated[at] + rng.randrange(1, 256)) % 256
         bad.write_bytes(bytes(mutated))
-        try:
-            for _ in read_carc(bad):
-                pass
-        except ArchfmtError as exc:
-            assert str(exc).startswith(f"{bad}@")
+        for pred in FUZZ_PREDICATES:
+            try:
+                for _ in read_carc(bad, pred=pred):
+                    pass
+            except ArchfmtError as exc:
+                assert str(exc).startswith(f"{bad}@")
 
 
 @pytest.mark.parametrize(

@@ -12,12 +12,13 @@ from archfmt.cdx import (
     CdxEntry,
     build_cdx,
     canonicalize_url,
-    fetch_records,
+    iter_fetch_records,
     parse_cdx,
     parse_timestamp14,
     timestamp14_of,
 )
 from archfmt.errors import BadCdxLine, BadFieldCount, BadOffset, BadTimestamp, NotAbsoluteUrl
+from archfmt.iostats import IoTracker
 from archfmt.warc import make_record, scan_warc, write_warc
 
 from conftest import request_record, synth_records
@@ -151,8 +152,8 @@ def test_parse_cdx_header_skipped(tmp_path):
 
 
 def test_fetch_records_empty():
-    records, m = fetch_records([], [])
-    assert records == [] and m.seek_count == 0
+    m = IoTracker()
+    assert list(iter_fetch_records([], [], m)) == [] and m.seek_count == 0
 
 
 def test_fetch_records_matches_scan(tmp_path):
@@ -161,7 +162,8 @@ def test_fetch_records_matches_scan(tmp_path):
     cdx_path = tmp_path / "ten.cdx"
     build_cdx([path], cdx_path)
     entries = list(parse_cdx(cdx_path))
-    records, m = fetch_records(entries, [path])
+    m = IoTracker()
+    records = [r for r, _ in iter_fetch_records(entries, [path], m)]
     assert m.seek_count == 10 and m.open_count == 1
     assert sorted(r.record_id for r in records) == sorted(
         r.record_id for r, _ in scan_warc(path)
@@ -178,7 +180,7 @@ def test_fetch_records_bad_offset(tmp_path):
 
     shifted = dataclasses.replace(entry, offset=entry.offset + 1)
     with pytest.raises(BadOffset):
-        fetch_records([shifted], [path])
+        list(iter_fetch_records([shifted], [path]))
 
 
 def test_index_completeness(corpus):
@@ -187,7 +189,7 @@ def test_index_completeness(corpus):
     for f in paths.warc_files:
         scan_ids.extend(r.record_id for r, _ in scan_warc(f) if r.record_type == "response")
     entries = list(parse_cdx(paths.cdx))
-    fetched, _ = fetch_records(entries, paths.warc_files)
+    fetched = [r for r, _ in iter_fetch_records(entries, paths.warc_files)]
     assert sorted(r.record_id for r in fetched) == sorted(scan_ids)
 
 
@@ -269,7 +271,7 @@ def test_fetch_records_length_past_end_is_bad_offset(tmp_path, stored_length):
     build_cdx([path], tmp_path / "one.cdx")
     [entry] = parse_cdx(tmp_path / "one.cdx")
     with pytest.raises(BadOffset, match=re.escape(f"{path}@0: ")):
-        fetch_records([dataclasses.replace(entry, stored_length=stored_length)], [path])
+        list(iter_fetch_records([dataclasses.replace(entry, stored_length=stored_length)], [path]))
 
 
 def test_fetch_of_a_line_whose_timestamp_differs_is_bad_offset(tmp_path):
@@ -280,7 +282,7 @@ def test_fetch_of_a_line_whose_timestamp_differs_is_bad_offset(tmp_path):
     build_cdx([path], tmp_path / "one.cdx")
     [entry] = parse_cdx(tmp_path / "one.cdx")
     with pytest.raises(BadOffset, match=re.escape(f"{path}@0: not the record of the CDX line ")):
-        fetch_records([dataclasses.replace(entry, timestamp=entry.timestamp + 1)], [path])
+        list(iter_fetch_records([dataclasses.replace(entry, timestamp=entry.timestamp + 1)], [path]))
 
 
 # --- predicate scans and the line walker ---------------------------------------

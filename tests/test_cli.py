@@ -118,6 +118,20 @@ def test_help_exits_0(argv, capsys):
     assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: archfmt")
 
 
+def test_bench_lists_parse_to_tuples():
+    args = _build_parser().parse_args(["bench", "--warc", "w.warc", "--out", "b.csv", "--tasks", "t1,t2",
+                                       "--backends", "carc", "--selectivities", "0.5,1"])
+    assert (args.tasks, args.backends, args.selectivities) == (("t1", "t2"), ("carc",), (0.5, 1.0))
+
+
+@pytest.mark.parametrize("option, value", [("--selectivities", "0.5,x"), ("--selectivities", ""), ("--repeats", "x")])
+def test_malformed_bench_option_is_usage_error(tmp_path, capsys, option, value):
+    capsys.readouterr()
+    code, _, err = run(capsys, "bench", "--warc", str(tmp_path / "w.warc"), "--out", str(tmp_path / "b.csv"),
+                       option, value)
+    assert code == 1 and err.startswith("usage error:") and option in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     capsys.readouterr()
     code, _, err = run(capsys, "gen", "--records", "1", "--out", "x", "--bogus")

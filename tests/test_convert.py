@@ -138,8 +138,8 @@ def test_convert_sorted_carc_footer_invariant(tmp_path):
 
 @pytest.mark.parametrize("target", ["carc", "rarc"])
 def test_convert_fidelity(corpus, target):
-    from archfmt.carc import read_carc_rows
-    from archfmt.rarc import read_rarc_rows
+    from archfmt.carc import read_carc
+    from archfmt.rarc import read_rarc
 
     paths = corpus["paths"]
     source = []
@@ -149,9 +149,7 @@ def test_convert_fidelity(corpus, target):
                 continue
             c = to_canonical(record)
             source.append((c.digest, c.url, c.timestamp_ms, c.content_length))
-    rows = (
-        read_carc_rows(paths.carc)[0] if target == "carc" else read_rarc_rows(paths.rarc)[0]
-    )
+    rows = read_carc(paths.carc) if target == "carc" else read_rarc(paths.rarc)
     converted = []
     for row in rows:
         digest = row[COL["digest"]]

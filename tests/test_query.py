@@ -75,6 +75,42 @@ def test_backend_equivalence_randomized(corpus):
         assert len(digests) == 1, f"backends disagree for {spec}"
 
 
+@pytest.mark.parametrize("kind", ["count", "meta", "records"])
+@pytest.mark.parametrize("which", ["none", "time_range", "urlkeys"])
+def test_four_backends_agree_on_every_kind_and_predicate(corpus, kind, which):
+    paths = corpus["paths"]
+    entries = list(cdx.parse_cdx(paths.cdx))
+    stamps = sorted(e.timestamp for e in entries)
+    keys = sorted({e.urlkey for e in entries})
+    spec = {
+        "none": QuerySpec(kind),
+        "time_range": QuerySpec(kind, time_range=(stamps[100], stamps[160])),
+        "urlkeys": QuerySpec(kind, urlkeys=tuple(keys[::40]) + ("absent)/",)),
+    }[which]
+    pred = spec.predicate()
+    expected = sum(1 for e in entries if pred is None or pred.matches(getattr(e, pred.column)))
+    results = [run_query(spec, backend, paths) for backend in BACKENDS]
+    assert 0 < expected and all(r.measurement.records_out == expected for r in results)
+    assert len({r.record_ids_digest for r in results}) == 1
+    assert len({repr(sorted(r.rows, key=repr)) for r in results}) == 1
+
+
+def test_warc_splits_and_digests_only_the_matching_rows_that_need_it(corpus, monkeypatch):
+    import archfmt.convert as convert_mod
+
+    calls = []
+    real = convert_mod.to_canonical
+    monkeypatch.setattr(convert_mod, "to_canonical", lambda record, head=None: calls.append(1) or real(record, head))
+    paths = corpus["paths"]
+    stamps = sorted(e.timestamp for e in cdx.parse_cdx(paths.cdx))
+    assert run_query(QuerySpec(kind="count"), "warc", paths).rows == [len(stamps)]
+    assert calls == []
+    for kind in ("count", "meta", "records"):
+        r = run_query(QuerySpec(kind=kind, time_range=(stamps[10], stamps[20])), "warc", paths)
+        assert r.measurement.records_out == 11
+    assert len(calls) == 22  # meta hashes the digest, records every column
+
+
 def test_type1_payload_avoidance(corpus):
     paths = corpus["paths"]
     spec = QuerySpec(kind="meta", time_range=corpus["spec"].time_range)
@@ -418,6 +454,11 @@ def test_a_row_error_names_its_file_and_offset_on_every_path(tmp_path, field, er
         "convert carc": lambda: convert([warc_path], "carc", tmp_path / "carc"),
         "convert rarc": lambda: convert([warc_path], "rarc", tmp_path / "rarc"),
         "warc query": lambda: run_query(QuerySpec(kind="count"), "warc", DatasetPaths((str(warc_path),))),
+        # the bad record fails although no predicate matches it
+        "warc time range": lambda: run_query(QuerySpec(kind="records", time_range=(0, 1)), "warc",
+                                             DatasetPaths((str(warc_path),))),
+        "warc urlkeys": lambda: run_query(QuerySpec(kind="meta", urlkeys=("absent)/",)), "warc",
+                                          DatasetPaths((str(warc_path),))),
     }
     for name, run in runs.items():
         with pytest.raises(error) as exc:

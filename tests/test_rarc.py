@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import struct
 
 import pytest
@@ -11,11 +12,11 @@ from archfmt.rarc import (
     encode_block,
     read_header,
     read_rarc,
-    read_rarc_rows,
     resync,
     write_rarc,
 )
-from test_carc import SCHEMA, make_rows
+from test_carc import PROJECTIONS, SCHEMA, _detached, _predicates, make_rows, with_bad_utf8
+from archfmt.carc import ScanPredicate
 
 
 def header_len(path):
@@ -28,8 +29,7 @@ def test_zero_rows_header_only(tmp_path):
     path = tmp_path / "zero.rarc"
     write_rarc([], SCHEMA, path)
     assert os.path.getsize(path) == header_len(path)
-    rows, _ = read_rarc_rows(path)
-    assert rows == []
+    assert list(read_rarc(path)) == []
 
 
 def test_block_sizes_ceiling_division(tmp_path):
@@ -60,14 +60,15 @@ def test_two_seeds_same_rows_different_markers(tmp_path):
     with open(b, "rb") as fh:
         _, _, sync_b, _ = read_header(fh, str(b))
     assert sync_a != sync_b
-    assert read_rarc_rows(a)[0] == read_rarc_rows(b)[0] == rows
+    assert list(read_rarc(a)) == list(read_rarc(b)) == rows
 
 
 def test_roundtrip_2500(tmp_path):
     rows = make_rows(2500, seed=5)
     path = tmp_path / "rt.rarc"
     write_rarc(rows, SCHEMA, path)
-    got, m = read_rarc_rows(path)
+    m = IoTracker()
+    got = list(read_rarc(path, m))
     assert got == rows
     assert m.bytes_read == os.path.getsize(path)
     assert m.seek_count == 1
@@ -92,8 +93,7 @@ def test_empty_after_header(tmp_path):
     write_rarc(make_rows(10), SCHEMA, path)
     empty = tmp_path / "hdr.rarc"
     empty.write_bytes(path.read_bytes()[: header_len(path)])
-    rows, _ = read_rarc_rows(empty)
-    assert rows == []
+    assert list(read_rarc(empty)) == []
 
 
 def test_resync_from_zero_and_eof(tmp_path):
@@ -125,8 +125,7 @@ def test_roundtrip_all_options(tmp_path, rows_per_block, codec):
     rows = make_rows(200, seed=rows_per_block)
     path = tmp_path / f"rt{rows_per_block}{codec}.rarc"
     write_rarc(rows, SCHEMA, path, rows_per_block=rows_per_block, codec=codec)
-    got, _ = read_rarc_rows(path)
-    assert got == rows
+    assert list(read_rarc(path)) == rows
 
 
 def test_split_partition_100_points(tmp_path):
@@ -156,8 +155,7 @@ def test_concatenatability(tmp_path):
         blob += encode_block(rows_b[start : start + 50], schema, codec, sync)
     merged = tmp_path / "merged.rarc"
     merged.write_bytes(bytes(blob))
-    got, _ = read_rarc_rows(merged)
-    assert got == rows_a + rows_b
+    assert list(read_rarc(merged)) == rows_a + rows_b
 
 
 def test_bytes_view_yields_equal_views(tmp_path):
@@ -172,6 +170,39 @@ def test_bytes_view_yields_equal_views(tmp_path):
         # detach before the next block recycles the buffer
         got.append(tuple(bytes(v) if isinstance(v, memoryview) else v for v in row))
     assert got == rows
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7, 64])
+@pytest.mark.parametrize("codec", ["none", "gzip"])
+def test_predicate_read_equals_filtered_full_read(tmp_path, rows_per_block, codec):
+    rng = random.Random(rows_per_block * 2 + (codec == "gzip"))
+    rows = make_rows(150, seed=rows_per_block)
+    path = tmp_path / "p.rarc"
+    write_rarc(rows, SCHEMA, path, rows_per_block=rows_per_block, codec=codec)
+    names = [c.name for c in SCHEMA.columns]
+    for bytes_view in (False, True):
+        assert [_detached(r) for r in read_rarc(path, bytes_view=bytes_view)] == rows
+        for pred in [None] + _predicates(rows, rng):
+            for proj in PROJECTIONS:
+                idx = range(len(names)) if proj is None else [names.index(n) for n in proj]
+                want = [tuple(r[i] for i in idx) for r in rows
+                        if pred is None or pred.matches(r[names.index(pred.column)])]
+                got = list(read_rarc(path, bytes_view=bytes_view, projection=proj, pred=pred))
+                assert [_detached(r) for r in got] == want, (pred, proj)
+
+
+def test_utf8_is_checked_only_on_values_returned(tmp_path):
+    rows = make_rows(40, seed=41, ts=list(range(40)))
+    rows[5] = (rows[5][0], rows[5][1], "note-5", rows[5][3])
+    path = with_bad_utf8(tmp_path, rows, write_rarc, rows_per_block=16)
+    skip5 = ScanPredicate.range("timestamp", 6, 39)
+    assert list(read_rarc(path, projection=("note",), pred=skip5)) == [(r[2],) for r in rows[6:]]
+    assert list(read_rarc(path, projection=("timestamp",))) == [(r[1],) for r in rows]
+    # the first block's note is returned, or is the predicate column
+    for proj, pred in [(("note",), None), (("note",), ScanPredicate.range("timestamp", 5, 5)),
+                       ((), ScanPredicate.isin("note", ["n7"]))]:
+        with pytest.raises(DecompressFailure, match=re.escape(f"{path}@{header_len(path)}: ")):
+            list(read_rarc(path, projection=proj, pred=pred))
 
 
 def _block_heads(path):
@@ -222,7 +253,9 @@ def test_mutation_fuzz_raises_only_typed_errors(tmp_path):
         at = rng.choice(spots)
         mutated[at] = (mutated[at] + rng.randrange(1, 256)) % 256
         bad.write_bytes(bytes(mutated))
-        for read in (lambda: read_rarc(bad), lambda: resync(bad, rng.randrange(len(data)))):
+        pred = ScanPredicate.range("timestamp", 0, 5 * 10**11)
+        for read in (lambda: read_rarc(bad), lambda: read_rarc(bad, projection=("urlkey",), pred=pred),
+                     lambda: resync(bad, rng.randrange(len(data)))):
             try:
                 for _ in read():
                     pass
