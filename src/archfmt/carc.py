@@ -1,24 +1,31 @@
 """Columnar archival container.
 
-Layout (little-endian): magic "CARC" + u16 version, then row groups (per
-group, one chunk per column: presence bitmap then values, each chunk
-independently compressed), then footer, u32 CRC32 of the footer, u64
-footer length, magic "CARC".  Readers locate the footer from the trailer.
+Layout (little-endian): magic "CARC" + u16 version, then row groups, then
+footer, u32 CRC32 of the footer, u64 footer length, magic "CARC".  Readers
+locate the footer from the trailer.
 
-Row-group metadata keeps per-chunk offsets, lengths, null counts, and
-min/max statistics (INT64 and STRING only) so queries can skip groups
-whose stats interval cannot intersect the predicate, and read only the
-column chunks they project.
+A row group holds one chunk per column, and a chunk is a run of pages
+stored back to back.  A page closes at PAGE_ROWS rows, or at the value that
+brings its encoded values to PAGE_BYTES; it is a presence bitmap then the
+values, compressed alone.  The footer keeps per chunk its offset, lengths,
+null count and min/max statistics (INT64 and STRING only), and per page its
+row count, lengths and min/max (the page index), so a query skips the
+groups whose stats interval cannot intersect its predicate, reads only the
+chunks it projects, decodes only the predicate column's pages whose stats
+can match, and inflates of each other projected chunk only the pages that
+hold the matching rows.  The footer also holds the format version; a
+version-1 footer has none, and its file is rejected.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadMagic,
@@ -32,10 +39,13 @@ from .errors import (
 from .iostats import IoTracker
 
 MAGIC = b"CARC"
-VERSION = 1
+VERSION = 2
 TRAILER_LEN = 16  # crc u32 + footer_len u64 + magic
 STAT_TRUNCATE = 64  # bytes kept of STRING min/max
+PAGE_ROWS = 1024  # a page closes at this many rows,
+PAGE_BYTES = 1 << 20  # or once its encoded values reach this many bytes
 _LEN_STRUCT = struct.Struct("<I")
+_PAGE_STRUCT = struct.Struct("<IQQ")  # a page's row count, compressed and uncompressed length
 
 CTYPES = ("INT64", "STRING", "BYTES")
 
@@ -81,6 +91,14 @@ class CarcSchema:
         return cls(tuple(cols))
 
 
+class PageMeta(NamedTuple):
+    row_count: int
+    compressed_len: int
+    uncompressed_len: int
+    min: Optional[object] = None  # as a chunk's; both None for a page of nulls only
+    max: Optional[object] = None
+
+
 @dataclass
 class ChunkMeta:
     chunk_offset: int
@@ -89,6 +107,7 @@ class ChunkMeta:
     null_count: int
     min: Optional[object] = None  # int for INT64, bytes for STRING
     max: Optional[object] = None
+    pages: list[PageMeta] = field(default_factory=list)  # stored back to back from chunk_offset
 
 
 @dataclass
@@ -186,6 +205,34 @@ def _encode_chunk(values: Sequence, col: Column) -> tuple[bytes, int, Optional[o
     return bytes(bitmap) + body, null_count, lo, hi
 
 
+def _pages(values: Sequence, col: Column) -> Iterator[Sequence]:
+    """values cut into consecutive pages: each closes at PAGE_ROWS values, or
+    at the value that brings its encoded values (without the bitmap) to
+    PAGE_BYTES."""
+    start = size = 0
+    for i, v in enumerate(values):
+        if v is not None:
+            if col.ctype == "INT64":
+                size += 8
+            else:
+                size += 4 + len(v if col.ctype == "BYTES" or v.isascii() else v.encode("utf-8"))
+        if i + 1 - start >= PAGE_ROWS or size >= PAGE_BYTES:
+            yield values[start : i + 1]
+            start, size = i + 1, 0
+    if start < len(values):
+        yield values[start:]
+
+
+def _span_of(pages: Sequence[PageMeta]) -> tuple[Optional[object], Optional[object]]:
+    """A chunk's min/max from its pages': what _encode_chunk gives over all
+    the chunk's values, as truncation keeps order (a None max is unbounded)."""
+    held = [p for p in pages if p.min is not None]  # the pages holding a value with stats
+    if not held:
+        return None, None
+    hi = None if any(p.max is None for p in held) else max(p.max for p in held)
+    return min(p.min for p in held), hi
+
+
 def _truncate_min(b: bytes) -> bytes:
     return b[:STAT_TRUNCATE]
 
@@ -264,21 +311,27 @@ _DECODE_ERRORS = (struct.error, UnicodeDecodeError, IndexError, DecompressFailur
 
 
 def compress(raw: bytes, codec: str, level: int) -> bytes:
-    """The stored form of one CARC chunk or RARC block."""
+    """The stored form of one CARC page or RARC block."""
     return zlib.compress(raw, level) if codec == "gzip" else raw
 
 
-def inflate(stored: bytes, ulen: int, codec: str) -> bytes:
-    """The ulen raw bytes of one stored CARC chunk or RARC block.
+def _inflatable(clen: int, ulen: int, codec: str) -> bool:
+    """Whether clen stored bytes of codec can hold ulen raw bytes."""
+    return ulen == clen if codec == "none" else ulen <= _MAX_INFLATE * clen + 64
+
+
+def inflate(stored, ulen: int, codec: str) -> bytes:
+    """The ulen raw bytes of one stored CARC page or RARC block, given as
+    bytes or a memoryview.
 
     ulen is checked against len(stored) and the codec before it sizes any
     buffer; errors carry no location, callers add theirs.
     """
     clen = len(stored)
-    if ulen != clen if codec == "none" else ulen > _MAX_INFLATE * clen + 64:
+    if not _inflatable(clen, ulen, codec):
         raise DecompressFailure(f"{ulen} bytes cannot be {clen} {codec} bytes")
     if codec == "none":
-        return stored
+        return bytes(stored)  # no copy when stored is bytes
     try:
         # exact bufsize: avoids repeated realloc on large units
         raw = zlib.decompress(stored, zlib.MAX_WBITS, ulen or 1)
@@ -297,7 +350,7 @@ def _pack_scalar(v) -> bytes:
     return b"\x02" + struct.pack("<I", len(v)) + v
 
 
-_STAT_TYPE = {"INT64": int, "STRING": bytes, "BYTES": type(None)}  # of a chunk's min/max
+_STAT_TYPE = {"INT64": int, "STRING": bytes, "BYTES": type(None)}  # of a chunk's or page's min/max
 
 
 def _unpack_scalar(raw: bytes, pos: int):
@@ -326,16 +379,40 @@ def _serialize_footer(footer: CarcFooter) -> bytes:
             )
             groups += _pack_scalar(c.min)
             groups += _pack_scalar(c.max)
+            groups += struct.pack("<I", len(c.pages))
+            for p in c.pages:
+                groups += _PAGE_STRUCT.pack(p.row_count, p.compressed_len, p.uncompressed_len)
+                groups += _pack_scalar(p.min)
+                groups += _pack_scalar(p.max)
     out += b"\x02" + struct.pack("<I", len(groups)) + groups
 
     out += b"\x03" + struct.pack("<I", 8) + struct.pack("<Q", footer.total_rows)
     sk = footer.sort_key.encode("utf-8") if footer.sort_key else b""
     out += b"\x04" + struct.pack("<I", len(sk)) + sk
     out += b"\x05" + struct.pack("<I", 1) + bytes([CODEC_ID[footer.codec]])
+    out += b"\x06" + struct.pack("<I", 2) + struct.pack("<H", VERSION)
     return bytes(out)
 
 
-def _deserialize_footer(raw: bytes) -> CarcFooter:
+def _stats(raw: bytes, pos: int, col: Column, what: str) -> tuple[object, object, int]:
+    """(min, max, position after them) of a chunk or page of column col."""
+    mn, pos = _unpack_scalar(raw, pos)
+    mx, pos = _unpack_scalar(raw, pos)
+    if not all(v is None or type(v) is _STAT_TYPE[col.ctype] for v in (mn, mx)):
+        raise FooterCorrupt(f"{what} min/max of {col.ctype} column {col.name}: {mn!r}, {mx!r}")
+    return mn, mx, pos
+
+
+def _deserialize_footer(raw: bytes, data_end: int) -> CarcFooter:
+    """The footer of a file whose row groups lie in [6, data_end).
+
+    Every length, offset and row count is checked before a reader sizes
+    anything by it: a chunk lies inside the data, its pages' lengths sum to
+    its own and each can inflate to its length, and every column's pages
+    hold at least one row each and the group's rows together.  A chunk holds
+    no more nulls than rows, none in a non-nullable column, and has no
+    min/max if it holds nulls only.
+    """
     fields = {}
     pos = 0
     while pos < len(raw):
@@ -343,8 +420,11 @@ def _deserialize_footer(raw: bytes) -> CarcFooter:
         (n,) = struct.unpack_from("<I", raw, pos + 1)
         fields[tag] = raw[pos + 5 : pos + 5 + n]
         pos += 5 + n
+    version = struct.unpack("<H", fields[6])[0] if 6 in fields else 1  # version 1 wrote no tag 6
+    if version != VERSION:
+        raise BadMagic(f"CARC version {version}; this reader reads version {VERSION} only")
     schema = CarcSchema.from_text(fields[1].decode("utf-8"))
-    ncols = len(schema.columns)
+    codec = _CODEC_NAME[fields[5][0]]
     graw = fields[2]
     (ngroups,) = struct.unpack_from("<I", graw, 0)
     gpos = 4
@@ -353,22 +433,36 @@ def _deserialize_footer(raw: bytes) -> CarcFooter:
         (row_count,) = struct.unpack_from("<Q", graw, gpos)
         gpos += 8
         chunks = []
-        for _ in range(ncols):
+        for col in schema.columns:
             off, clen, ulen, nulls = struct.unpack_from("<QQQQ", graw, gpos)
-            gpos += 32
-            mn, gpos = _unpack_scalar(graw, gpos)
-            mx, gpos = _unpack_scalar(graw, gpos)
-            col = schema.columns[len(chunks)]
-            if not all(v is None or type(v) is _STAT_TYPE[col.ctype] for v in (mn, mx)):
-                raise FooterCorrupt(f"min/max of {col.ctype} column {col.name}: {mn!r}, {mx!r}")
-            chunks.append(ChunkMeta(off, clen, ulen, nulls, mn, mx))
+            mn, mx, gpos = _stats(graw, gpos + 32, col, "chunk")
+            if not 6 <= off <= data_end - clen:
+                raise FooterCorrupt(f"chunk of {clen} bytes at {off} runs outside the data")
+            # the planner skips a group whose predicate chunk holds nulls only, which then has no min/max
+            if nulls > (row_count if col.nullable else 0) or nulls == row_count and mn is not None:
+                raise FooterCorrupt(f"{nulls} nulls in {row_count} rows of column {col.name}, min {mn!r}")
+            (npages,) = struct.unpack_from("<I", graw, gpos)
+            gpos += 4
+            pages = []
+            for _ in range(npages):
+                rows, pclen, pulen = _PAGE_STRUCT.unpack_from(graw, gpos)
+                pmn, pmx, gpos = _stats(graw, gpos + _PAGE_STRUCT.size, col, "page")
+                if rows < 1:
+                    raise FooterCorrupt(f"page of column {col.name} holds {rows} rows")
+                if not _inflatable(pclen, pulen, codec):
+                    raise FooterCorrupt(f"page of {pulen} bytes cannot be stored in {pclen} {codec} bytes")
+                pages.append(PageMeta(rows, pclen, pulen, pmn, pmx))
+            sums = [sum(p[i] for p in pages) for i in range(3)]
+            if sums != [row_count, clen, ulen]:
+                raise FooterCorrupt(f"pages of column {col.name} hold {sums[0]} rows in {sums[1]}/{sums[2]} "
+                                    f"bytes, not {row_count} in {clen}/{ulen}")
+            chunks.append(ChunkMeta(off, clen, ulen, nulls, mn, mx, pages))
         groups.append(RowGroupMeta(row_count, chunks))
     (total_rows,) = struct.unpack_from("<Q", fields[3], 0)
     group_rows = sum(g.row_count for g in groups)
     if group_rows != total_rows:
         raise FooterCorrupt(f"row groups hold {group_rows} rows, not {total_rows}")
     sort_key = fields[4].decode("utf-8") or None
-    codec = _CODEC_NAME[fields[5][0]]
     return CarcFooter(schema, groups, total_rows, sort_key, codec)
 
 
@@ -405,11 +499,18 @@ def write_carc(
                 return
             meta = RowGroupMeta(len(buffer))
             for ci, col in enumerate(schema.columns):
-                raw, nulls, mn, mx = _encode_chunk([r[ci] for r in buffer], col)
-                stored = compress(raw, codec, compresslevel)
-                out.write(stored)
-                meta.chunks.append(ChunkMeta(offset, len(stored), len(raw), nulls, mn, mx))
-                offset += len(stored)
+                chunk = ChunkMeta(offset, 0, 0, 0)
+                for values in _pages([r[ci] for r in buffer], col):
+                    raw, nulls, mn, mx = _encode_chunk(values, col)
+                    stored = compress(raw, codec, compresslevel)
+                    out.write(stored)
+                    chunk.pages.append(PageMeta(len(values), len(stored), len(raw), mn, mx))
+                    chunk.chunk_compressed_len += len(stored)
+                    chunk.chunk_uncompressed_len += len(raw)
+                    chunk.null_count += nulls
+                chunk.min, chunk.max = _span_of(chunk.pages)
+                meta.chunks.append(chunk)
+                offset += chunk.chunk_compressed_len
             groups.append(meta)
             total += len(buffer)
             buffer.clear()
@@ -443,11 +544,12 @@ def write_carc(
 def read_footer(file, tracker: Optional[IoTracker] = None) -> CarcFooter:
     tracker = tracker or IoTracker()
     with tracker.open(file) as fh:
-        return _read_footer_fh(fh, file)[0]
+        return _read_footer_fh(fh, file)
 
 
-def _read_footer_fh(fh, file) -> tuple[CarcFooter, int]:
-    """Returns (footer, footer offset); row-group data lies in [6, footer offset)."""
+def _read_footer_fh(fh, file) -> CarcFooter:
+    """The footer, checked against the row-group data, which lies between the
+    leading magic and version and the footer."""
     size = Path(file).stat().st_size
     if size < 6 + TRAILER_LEN:
         raise BadMagic(f"{file}: too small for a CARC file")
@@ -462,7 +564,9 @@ def _read_footer_fh(fh, file) -> tuple[CarcFooter, int]:
     if zlib.crc32(raw) != crc:
         raise FooterCorrupt(f"{file}@{start}: footer CRC mismatch")
     try:
-        return _deserialize_footer(raw), start
+        return _deserialize_footer(raw, start)
+    except BadMagic as exc:
+        raise BadMagic(f"{file}@{start}: {exc}") from None
     except (KeyError, struct.error, IndexError, UnicodeDecodeError, SchemaMismatch, FooterCorrupt) as exc:
         raise FooterCorrupt(f"{file}@{start}: cannot decode footer: {exc!r}") from None
 
@@ -479,43 +583,61 @@ def _as_stat(value, col: Column):
     return value
 
 
+def _stat_scalars(schema: CarcSchema, pred: ScanPredicate) -> tuple[int, Optional[list]]:
+    """(index of the predicate column, the predicate's scalars as stats
+    compare them, or None when its scalars do not have the column's type and
+    stats can prune nothing)."""
+    ci = schema.index_of(pred.column)
+    col = schema.columns[ci]
+    if col.ctype == "BYTES":
+        raise StatlessColumn(pred.column)
+    scalars = list(pred.values) if pred.values is not None else [pred.lo, pred.hi]
+    if any(not _stats_comparable(col, s) for s in scalars):
+        return ci, None
+    return ci, [_as_stat(s, col) for s in scalars]
+
+
+def _may_hold(stats, pred: ScanPredicate, scalars: Optional[list]) -> bool:
+    """False only when no value between stats.min and stats.max (a None
+    bound is unbounded) passes pred: the one pruning rule of groups and
+    pages."""
+    if scalars is None:
+        return True
+    lo, hi = stats.min, stats.max
+    if pred.values is not None:
+        return any((lo is None or v >= lo) and (hi is None or v <= hi) for v in scalars)
+    plo, phi = scalars
+    return (hi is None or plo <= hi) and (lo is None or lo <= phi)
+
+
 def plan_row_groups(footer: CarcFooter, pred: Optional[ScanPredicate]) -> list[int]:
     """Indices of row groups whose stats interval can intersect the predicate.
 
     Pure function; never excludes a group that contains a matching row.
-    Groups without usable stats, and predicates whose scalar type does not
-    match the column type, plan every group.
+    Groups of nulls only are excluded; groups without usable stats, and
+    every group when the predicate's scalar type does not match the column
+    type, are planned.
     """
     if pred is None:
         return list(range(len(footer.row_groups)))
-    ci = footer.schema.index_of(pred.column)
-    col = footer.schema.columns[ci]
-    if col.ctype == "BYTES":
-        raise StatlessColumn(pred.column)
+    ci, scalars = _stat_scalars(footer.schema, pred)
+    return [
+        gi for gi, g in enumerate(footer.row_groups)
+        if g.chunks[ci].null_count != g.row_count and _may_hold(g.chunks[ci], pred, scalars)
+    ]
 
-    scalars = list(pred.values) if pred.values is not None else [pred.lo, pred.hi]
-    if any(not _stats_comparable(col, s) for s in scalars):
-        return list(range(len(footer.row_groups)))  # type mismatch: no pruning possible
-    scalars = [_as_stat(s, col) for s in scalars]
 
-    planned = []
-    for gi, g in enumerate(footer.row_groups):
-        c = g.chunks[ci]
-        if c.min is None and c.max is None and c.null_count != g.row_count:
-            planned.append(gi)  # stats absent: must read
-            continue
-        if c.null_count == g.row_count:
-            continue  # all null: no value can match
-        if pred.values is not None:
-            hit = any(
-                (c.min is None or v >= c.min) and (c.max is None or v <= c.max) for v in scalars
-            )
-        else:
-            lo, hi = scalars
-            hit = (c.max is None or lo <= c.max) and (c.min is None or c.min <= hi)
-        if hit:
-            planned.append(gi)
-    return planned
+def _rows_by_page(pages: Sequence[PageMeta], rows: Optional[list[int]]) -> list[tuple[int, Optional[list[int]]]]:
+    """(page index, its rows counted from its first) of each page holding one
+    of the ascending group rows, every page with None when rows is None."""
+    if rows is None:
+        return [(pi, None) for pi in range(len(pages))]
+    ends = list(accumulate(p.row_count for p in pages))
+    by_page: dict[int, list[int]] = {}
+    for r in rows:
+        pi = bisect_right(ends, r)
+        by_page.setdefault(pi, []).append(r - ends[pi] + pages[pi].row_count)
+    return list(by_page.items())
 
 
 def read_carc(
@@ -528,48 +650,114 @@ def read_carc(
     """Yield the projection's fields, in projection order, of rows matching
     pred, in file row order.  projection=None means every schema column.
 
-    Of each planned group, the predicate column's chunk is read and decoded
-    first.  A group with no matching row reads nothing more; otherwise the
-    chunks of the projected columns are read, and each is checked whole but
-    builds only the values of the matching rows (see _decode_chunk).  Pass a
-    tracker to collect the I/O measurement.
+    Of each planned group, the predicate column's pages whose stats can
+    match are read and decoded first.  A group with no matching row reads
+    nothing more; otherwise, of each other projected chunk, one read spans
+    the pages that hold the matching rows (every page without a predicate).
+    Each page is inflated only when its first value is reached, and the
+    columns advance together, so a read holds one inflated page per column.
+    A page is checked whole but builds only the values of the matching rows
+    (see _decode_chunk).  Pass a tracker to collect the I/O measurement.
 
     With bytes_view=True, BYTES values are yielded as zero-copy memoryview
-    slices over the decoded chunk; call bytes() on a value to detach it.
+    slices over the decoded page; call bytes() on a value to detach it.
     """
     tracker = tracker or IoTracker()
     file = str(file)
     with tracker.open(file) as fh:
-        footer, data_end = _read_footer_fh(fh, file)
+        footer = _read_footer_fh(fh, file)
         schema = footer.schema
         names = [c.name for c in schema.columns] if projection is None else projection
         proj_idx = [schema.index_of(name) for name in names]
-        pred_idx = None if pred is None else schema.index_of(pred.column)
+        built = sorted(set(proj_idx))  # the columns read, in file order
+        pick = [built.index(ci) for ci in proj_idx]
+        in_order = pick == list(range(len(built)))
+        pred_idx, scalars = (None, None) if pred is None else _stat_scalars(schema, pred)
 
-        def chunk_values(g: RowGroupMeta, ci: int, rows: Optional[list[int]] = None) -> list:
-            c = g.chunks[ci]
-            off, clen = c.chunk_offset, c.chunk_compressed_len
-            if not 6 <= off <= data_end - clen:
-                raise FooterCorrupt(f"{file}@{off}: chunk of {clen} bytes runs outside the data")
-            try:
-                return _decode_chunk(
-                    inflate(fh.pread(off, clen), c.chunk_uncompressed_len, footer.codec),
-                    schema.columns[ci], g.row_count, bytes_view, rows,
-                )
-            except _DECODE_ERRORS as exc:
-                raise DecompressFailure(f"{file}@{off}: {exc}") from None
+        def page_values(c: ChunkMeta, ci: int, wanted: list[tuple[int, Optional[list[int]]]]) -> Iterator[list]:
+            """Per page of wanted, (page index, its rows or None for all), the
+            values of those rows; one read spans the first to the last page."""
+            if not wanted:
+                return
+            at = list(accumulate((p.compressed_len for p in c.pages), initial=c.chunk_offset))
+            base = at[wanted[0][0]]
+            span = memoryview(fh.pread(base, at[wanted[-1][0] + 1] - base))
+            for pi, rows in wanted:
+                p = c.pages[pi]
+                try:
+                    raw = inflate(span[at[pi] - base : at[pi + 1] - base], p.uncompressed_len, footer.codec)
+                    values = _decode_chunk(raw, schema.columns[ci], p.row_count, bytes_view, rows)
+                except _DECODE_ERRORS as exc:
+                    raise DecompressFailure(f"{file}@{at[pi]}: {exc}") from None
+                yield values
 
         for gi in plan_row_groups(footer, pred):
             g = footer.row_groups[gi]
-            decoded, rows, n = {}, None, g.row_count
+            rows, keys, n = None, None, g.row_count
             if pred is not None:
-                keys = chunk_values(g, pred_idx)
-                rows = [i for i, value in enumerate(keys) if pred.matches(value)]
+                c = g.chunks[pred_idx]
+                tested = [(pi, None) for pi, p in enumerate(c.pages) if _may_hold(p, pred, scalars)]
+                first = list(accumulate((p.row_count for p in c.pages), initial=0))
+                rows, keys = [], []
+                for (pi, _), values in zip(tested, page_values(c, pred_idx, tested)):
+                    for i, value in enumerate(values, first[pi]):
+                        if pred.matches(value):
+                            rows.append(i)
+                            keys.append(value)
                 if not rows:
                     continue
-                decoded[pred_idx] = [keys[i] for i in rows]
                 n = len(rows)
-            for ci in sorted(set(proj_idx) - decoded.keys()):  # file order
-                decoded[ci] = chunk_values(g, ci, rows)
-            cols = [decoded[ci] for ci in proj_idx]
-            yield from zip(*cols) if cols else repeat((), n)
+            cols = [
+                iter(keys) if ci == pred_idx
+                else chain.from_iterable(page_values(g.chunks[ci], ci, _rows_by_page(g.chunks[ci].pages, rows)))
+                for ci in built
+            ]
+            if not cols:
+                yield from repeat((), n)
+            elif in_order:
+                yield from zip(*cols)
+            else:
+                yield from (tuple([row[i] for i in pick]) for row in zip(*cols))
+
+
+# --- inspect ------------------------------------------------------------------
+
+def describe(file) -> dict:
+    """The footer of a CARC file as JSON-ready data: the schema, and per row
+    group its chunks with their page index.  A STRING min/max is shown as
+    text, a byte that is not UTF-8 escaped."""
+    footer = read_footer(file)
+
+    def stat(v):
+        return v.decode("utf-8", "backslashreplace") if isinstance(v, bytes) else v
+
+    def pages(c: ChunkMeta) -> list[dict]:
+        return [dict(p._asdict(), min=stat(p.min), max=stat(p.max)) for p in c.pages]
+
+    return {
+        "format": "CARC",
+        "version": VERSION,
+        "codec": footer.codec,
+        "sort_key": footer.sort_key,
+        "total_rows": footer.total_rows,
+        "schema": footer.schema.to_text().splitlines(),
+        "row_groups": [
+            {
+                "row_count": g.row_count,
+                "chunks": [
+                    {
+                        "column": col.name,
+                        "offset": c.chunk_offset,
+                        "compressed_len": c.chunk_compressed_len,
+                        "uncompressed_len": c.chunk_uncompressed_len,
+                        "null_count": c.null_count,
+                        "min": stat(c.min),
+                        "max": stat(c.max),
+                        "pages": pages(c),
+                    }
+                    for col, c in zip(footer.schema.columns, g.chunks)
+                ],
+            }
+            for g in footer.row_groups
+        ],
+    }

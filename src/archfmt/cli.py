@@ -1,4 +1,4 @@
-"""Command-line entry point: gen, index, convert, query, bench, report.
+"""Command-line entry point: gen, index, convert, query, inspect, bench, report.
 
 Exit codes: 0 success, 1 usage error, 2 data error (or any other failure),
 3 I/O error.
@@ -8,11 +8,12 @@ Machine-readable output goes to stdout; diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from . import bench, carc, cdx, query
+from . import bench, carc, cdx, query, rarc
 from .convert import MAX_MS, MIN_MS, SORT_KEYS, canonicalize_url, convert as _convert, parse_warc_date
-from .errors import ArchfmtError, IoFailure
+from .errors import ArchfmtError, BadMagic, IoFailure
 from .query import DatasetPaths, QuerySpec
 
 
@@ -76,6 +77,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--url-file", help="one URL per line, canonicalized on load")
     p.add_argument("--projection", default=",".join(query.DEFAULT_META_PROJECTION),
                    help="comma-separated metadata columns (meta queries)")
+
+    p = sub.add_parser("inspect", help="print a CARC footer or an RARC block layout as JSON")
+    p.add_argument("file")
 
     p = sub.add_parser("bench", help="run the task suite and write a CSV", argument_default=omit)
     p.add_argument("--warc", dest="warc_files", nargs="+", required=True)
@@ -162,6 +166,16 @@ def _cmd_query(args) -> int:
     return 0
 
 
+def _cmd_inspect(args) -> int:
+    with open(args.file, "rb") as fh:
+        magic = fh.read(4)
+    describe = {carc.MAGIC: carc.describe, rarc.MAGIC: rarc.describe}.get(magic)
+    if describe is None:
+        raise BadMagic(f"{args.file}: neither a CARC nor an RARC file")
+    print(json.dumps(describe(args.file), indent=1))
+    return 0
+
+
 def _cmd_bench(args) -> int:
     opts = vars(args)
     paths = DatasetPaths(tuple(opts.pop("warc_files")), *(opts.pop(name, None) for name in ("cdx", "carc", "rarc")))
@@ -180,6 +194,7 @@ _COMMANDS = {
     "index": _cmd_index,
     "convert": _cmd_convert,
     "query": _cmd_query,
+    "inspect": _cmd_inspect,
     "bench": _cmd_bench,
     "report": _cmd_report,
 }

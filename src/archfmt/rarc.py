@@ -172,15 +172,14 @@ def read_header(fh, file) -> tuple[CarcSchema, str, bytes, int]:
     return schema, _CODEC_NAME[codec_id], sync, _HEADER.size + schema_len + SYNC_LEN
 
 
-def _blocks(fh, file: str, header, offset: int, size: int, decode: Callable[[bytes, int], list]) -> Iterator[list]:
+def _frames(fh, file: str, sync: bytes, offset: int, size: int) -> Iterator[tuple[int, int, int, bytes]]:
     """The blocks from offset, where fh stands, to the end of the file: per
-    block, what decode makes of its inflated payload and row count.
+    block, its offset, row count, uncompressed length and stored bytes.
 
     A block's stored length is checked against the file size before it is
-    read, and its sync marker before inflate checks its uncompressed length,
-    so a false marker tried by resync fails with SyncLost.
+    read, and its sync marker before anyone inflates it, so a false marker
+    tried by resync fails with SyncLost.
     """
-    _, codec, sync, _ = header
     while True:
         head = fh.read(_BLOCK_HEAD.size)
         if not head:
@@ -194,12 +193,20 @@ def _blocks(fh, file: str, header, offset: int, size: int, decode: Callable[[byt
         stored = fh.read(clen)
         if fh.read(SYNC_LEN) != sync:
             raise SyncLost(file, end, "sync marker mismatch")
+        yield offset, count, ulen, stored
+        offset = end + SYNC_LEN
+
+
+def _blocks(fh, file: str, header, offset: int, size: int, decode: Callable[[bytes, int], list]) -> Iterator[list]:
+    """Per block of _frames, what decode makes of its inflated payload and
+    row count; inflate checks the uncompressed length."""
+    _, codec, sync, _ = header
+    for at, count, ulen, stored in _frames(fh, file, sync, offset, size):
         try:
             rows = decode(inflate(stored, ulen, codec), count)
         except _DECODE_ERRORS as exc:
-            raise DecompressFailure(f"{file}@{offset}: {exc}") from None
+            raise DecompressFailure(f"{file}@{at}: {exc}") from None
         yield rows
-        offset = end + SYNC_LEN
 
 
 def read_rarc(
@@ -296,3 +303,26 @@ def resync(file, start_offset: int, tracker: Optional[IoTracker] = None) -> Iter
             for rows in blocks:
                 yield from rows
             return
+
+
+def describe(file) -> dict:
+    """The header and block layout of an RARC file as JSON-ready data: per
+    block its offset, row count, and stored and raw length, framed as a
+    read frames it, but no block is inflated."""
+    file = str(file)
+    size = os.path.getsize(file)
+    with IoTracker().open(file, sequential=True) as fh:
+        schema, codec, sync, header_len = read_header(fh, file)
+        blocks = [
+            {"offset": at, "rows": count, "stored_len": len(stored), "raw_len": ulen}
+            for at, count, ulen, stored in _frames(fh, file, sync, header_len, size)
+        ]
+    return {
+        "format": "RARC",
+        "version": VERSION,
+        "codec": codec,
+        "schema": schema.to_text().splitlines(),
+        "sync": sync.hex(),
+        "header_len": header_len,
+        "blocks": blocks,
+    }

@@ -2,10 +2,12 @@ import math
 import random
 import re
 import struct
+import tracemalloc
 import zlib
 
 import pytest
 
+from archfmt import carc
 from archfmt.carc import (
     MAGIC,
     TRAILER_LEN,
@@ -373,11 +375,25 @@ def _predicates(rows, rng):
 PROJECTIONS = [None, (), ("payload",), ("timestamp",), ("note", "urlkey"), ("payload", "timestamp", "payload")]
 
 
+# (PAGE_ROWS, PAGE_BYTES): one page per chunk of the small test files, pages
+# closed by their row count, and pages closed by their values' bytes
+PAGE_SIZES = [(1024, 1 << 20), (3, 1 << 20), (1024, 64)]
+PAGE_IDS = ["whole", "rows3", "bytes64"]
+
+
+def set_pages(monkeypatch, page_rows, page_bytes):
+    monkeypatch.setattr(carc, "PAGE_ROWS", page_rows)
+    monkeypatch.setattr(carc, "PAGE_BYTES", page_bytes)
+
+
+@pytest.mark.parametrize("pages", PAGE_SIZES, ids=PAGE_IDS)
 @pytest.mark.parametrize("rows_per_group", [1, 7, 64])
 @pytest.mark.parametrize("codec", ["none", "gzip"])
-def test_predicate_read_equals_filtered_full_read(tmp_path, rows_per_group, codec):
+def test_predicate_read_equals_filtered_full_read(tmp_path, monkeypatch, rows_per_group, codec, pages):
     """read_carc(pred) is the brute-force filter of read_carc(), for every
-    projection, with the predicate column projected or not, and repeated."""
+    projection, with the predicate column projected or not, and repeated,
+    whatever the pages."""
+    set_pages(monkeypatch, *pages)
     rng = random.Random(rows_per_group * 2 + (codec == "gzip"))
     rows = make_rows(150, seed=rows_per_group)
     path = tmp_path / "p.carc"
@@ -394,6 +410,133 @@ def test_predicate_read_equals_filtered_full_read(tmp_path, rows_per_group, code
                 want = [tuple(r[i] for i in idx) for r in rows if pred.matches(r[key])]
                 got = list(read_carc(path, projection=proj, pred=pred, bytes_view=bytes_view))
                 assert [_detached(r) for r in got] == want, (pred, proj)
+
+
+def chunk_bytes(footer):
+    return sum(c.chunk_compressed_len for g in footer.row_groups for c in g.chunks)
+
+
+@pytest.mark.parametrize("codec", ["none", "gzip"])
+def test_pages_read_no_more_than_one_page_chunks(tmp_path, monkeypatch, codec):
+    """Every query on 8-row pages makes no more positioned reads than on the
+    same rows written with one page per chunk, and without compression, where
+    the chunks are the same bytes, reads no more of them; pruned pages read
+    fewer."""
+    rng = random.Random(17)
+    rows = make_rows(400, seed=17, ts=sorted(rng.randint(0, 10**12) for _ in range(400)))
+    paths = {}
+    for name, page_rows in (("whole", 1024), ("paged", 8)):
+        monkeypatch.setattr(carc, "PAGE_ROWS", page_rows)
+        paths[name] = tmp_path / f"{name}.carc"
+        write_carc(rows, SCHEMA, paths[name], rows_per_group=64, codec=codec, sort_key="timestamp")
+    footers = {name: read_footer(path) for name, path in paths.items()}
+    assert {len(c.pages) for g in footers["paged"].row_groups[:-1] for c in g.chunks} == {8}
+    if codec == "none":
+        assert chunk_bytes(footers["paged"]) == chunk_bytes(footers["whole"])
+    fewer = 0
+    for pred in [None] + _predicates(rows, rng):
+        for proj in PROJECTIONS:
+            cost = {}
+            for name, path in paths.items():
+                m = IoTracker()
+                got = list(read_carc(path, projection=proj, pred=pred, tracker=m))
+                footer_region = path.stat().st_size - 6 - chunk_bytes(footers[name])
+                cost[name] = (m.seek_count, m.bytes_read - footer_region, [_detached(r) for r in got])
+            assert cost["paged"][2] == cost["whole"][2]
+            assert cost["paged"][0] <= cost["whole"][0], (pred, proj)
+            if codec == "none":
+                assert cost["paged"][1] <= cost["whole"][1], (pred, proj)
+                fewer += cost["paged"][1] < cost["whole"][1]
+    assert codec == "gzip" or fewer > 0
+
+
+def test_urlkey_lookup_inflates_one_page_per_projected_column(tmp_path, monkeypatch):
+    monkeypatch.setattr(carc, "PAGE_ROWS", 16)
+    rows = sorted(make_rows(500, seed=9))  # unique urlkeys, in order
+    path = tmp_path / "k.carc"
+    write_carc(rows, SCHEMA, path, rows_per_group=200, sort_key="urlkey")
+    inflated = []
+    inflate = carc.inflate
+    monkeypatch.setattr(carc, "inflate", lambda *args: inflated.append(args[1]) or inflate(*args))
+    for i in (0, 137, 250, 499):
+        for proj in (None, ("payload",), ("timestamp", "note"), ("urlkey",)):
+            inflated.clear()
+            m = IoTracker()
+            got = list(read_carc(path, projection=proj, pred=ScanPredicate.isin("urlkey", [rows[i][0]]), tracker=m))
+            assert got == [rows[i] if proj is None else tuple(rows[i][SCHEMA.index_of(n)] for n in proj)]
+            columns = {"urlkey", *(proj or (c.name for c in SCHEMA.columns))}
+            assert len(inflated) == len(columns), (i, proj)  # one page of each
+            assert m.seek_count == 2 + len(columns)
+
+
+def test_pages_close_at_page_rows_or_page_bytes(tmp_path, monkeypatch):
+    set_pages(monkeypatch, 6, 150)
+    rows = make_rows(100, seed=3)
+    path = tmp_path / "c.carc"
+    write_carc(rows, SCHEMA, path, rows_per_group=40)
+    start = 0
+    for g in read_footer(path).row_groups:
+        for ci, (col, c) in enumerate(zip(SCHEMA.columns, g.chunks)):
+            values = [r[ci] for r in rows[start : start + g.row_count]]
+            encoded = [v.encode() if isinstance(v, str) else v for v in values]
+            cuts, count, size = [], 0, 0
+            for v in encoded:
+                count += 1
+                size += 0 if v is None else 8 if col.ctype == "INT64" else 4 + len(v)
+                if count == 6 or size >= 150:
+                    cuts.append(count)
+                    count = size = 0
+            assert [p.row_count for p in c.pages] == cuts + [count] * (count > 0)
+            first = 0
+            for p in c.pages:
+                held = [v for v in encoded[first : first + p.row_count] if v is not None]
+                stats = (min(held), max(held)) if held and col.ctype != "BYTES" else (None, None)
+                assert (p.min, p.max) == stats  # test values are shorter than STAT_TRUNCATE
+                first += p.row_count
+            held = [v for v in encoded if v is not None]
+            assert (c.min, c.max) == ((min(held), max(held)) if held and col.ctype != "BYTES" else (None, None))
+        start += g.row_count
+
+
+def test_reading_a_column_holds_one_inflated_page(tmp_path, monkeypatch):
+    """Memory of a read is bounded by the page size, not the chunk size."""
+    rows = make_rows(400, seed=4)
+    rows = [(r[0], r[1], r[2], (f"<p>row {i} of some markup " * 300).encode()) for i, r in enumerate(rows)]
+    peaks = {}
+    for name, page_bytes in (("whole", 1 << 30), ("paged", 64 * 1024)):
+        monkeypatch.setattr(carc, "PAGE_BYTES", page_bytes)
+        path = tmp_path / f"{name}.carc"
+        write_carc(rows, SCHEMA, path, rows_per_group=400)
+        raw = read_footer(path).row_groups[0].chunks[SCHEMA.index_of("payload")].chunk_uncompressed_len
+        tracemalloc.start()
+        try:
+            assert sum(len(v) for (v,) in read_carc(path, projection=("payload",))) == sum(len(r[3]) for r in rows)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["whole"] > raw > 4 * peaks["paged"], (raw, peaks)
+
+
+# A file of two rows (urlkey STRING, timestamp INT64; codec none) as the
+# version-1 writer wrote it: its chunks are not paged, and its footer holds no
+# version.
+V1_FILE = bytes.fromhex(
+    "434152430100030300000061292f0300000062292f030100000000000000020000000000"
+    "0000011d00000075726c6b657920535452494e470a74696d657374616d7020494e543634"
+    "026e00000001000000020000000000000006000000000000000f000000000000000f0000"
+    "00000000000000000000000000020300000061292f020300000062292f15000000000000"
+    "0011000000000000001100000000000000000000000000000001010000000000000001"
+    "02000000000000000308000000020000000000000004000000000501000000008baca323"
+    "ad0000000000000043415243"
+)
+
+
+def test_version_1_file_is_bad_magic_naming_its_version(tmp_path):
+    path = tmp_path / "v1.carc"
+    path.write_bytes(V1_FILE)
+    for read in (read_footer, lambda p: list(read_carc(p))):
+        with pytest.raises(BadMagic, match=re.escape(f"{path}@") + ".*CARC version 1;"):
+            read(path)
 
 
 def test_group_without_a_match_reads_only_its_predicate_chunk(tmp_path):
@@ -447,9 +590,9 @@ def test_scan_predicate_matches():
     assert isin.matches("k999") and not isin.matches("k1000") and not isin.matches(None)
 
 
-# (field of row group 0 or of its first chunk, value) written into a footer
-# whose CRC is then recomputed; "schema" puts the value at the start of the
-# schema text
+# (field of row group 0, of its first chunk, or with "page_", of that
+# chunk's first page, value) written into a footer whose CRC is then
+# recomputed; "schema" puts the value at the start of the schema text
 HOSTILE_FOOTERS = [
     ("chunk_uncompressed_len", 2**62),
     ("chunk_uncompressed_len", 2**34),
@@ -457,34 +600,35 @@ HOSTILE_FOOTERS = [
     ("row_count", 2**31),
     ("chunk_offset", 2**63 - 1),
     ("schema", b"\xff"),
+    ("page_compressed_len", 2**40),
+    ("page_compressed_len", 0),
+    ("page_uncompressed_len", 2**62),
+    ("page_row_count", 0),
+    ("page_row_count", 2**31),
 ]
-HOSTILE_IDS = ["ulen62", "ulen34", "rows40", "rows31", "offset63", "schema_utf8"]
+HOSTILE_IDS = [
+    "ulen62", "ulen34", "rows40", "rows31", "offset63", "schema_utf8",
+    "page_clen40", "page_clen0", "page_ulen62", "page_rows0", "page_rows31",
+]
 
 
 def write_hostile_footer(path, field, value, column=0):
     data = path.read_bytes()
     (footer_len,) = struct.unpack_from("<Q", data, len(data) - 12)
     start = len(data) - TRAILER_LEN - footer_len
-    footer = _deserialize_footer(data[start : len(data) - TRAILER_LEN])
+    footer = _deserialize_footer(data[start : len(data) - TRAILER_LEN], start)
     group = footer.row_groups[0]
+    chunk = group.chunks[column]
     if field == "row_count":
         group.row_count = value
+    elif field.startswith("page_"):
+        chunk.pages[0] = chunk.pages[0]._replace(**{field[5:]: value})
     elif field != "schema":
-        setattr(group.chunks[column], field, value)
+        setattr(chunk, field, value)
     raw = _serialize_footer(footer)
     if field == "schema":
         raw = raw[:5] + value + raw[5 + len(value) :]  # after the tag and length
     path.write_bytes(data[:start] + raw + struct.pack("<IQ", zlib.crc32(raw), len(raw)) + MAGIC)
-
-
-@pytest.mark.parametrize("field, value", HOSTILE_FOOTERS, ids=HOSTILE_IDS)
-@pytest.mark.parametrize("codec", ["none", "gzip"])
-def test_hostile_footers_are_typed(tmp_path, codec, field, value):
-    path = tmp_path / "h.carc"
-    write_carc(make_rows(50, seed=13), SCHEMA, path, rows_per_group=10, codec=codec)
-    write_hostile_footer(path, field, value)
-    with pytest.raises(ArchfmtError, match=re.escape(f"{path}@")):
-        list(read_carc(path))
 
 
 FUZZ_PREDICATES = [
@@ -494,10 +638,26 @@ FUZZ_PREDICATES = [
 ]
 
 
+@pytest.mark.parametrize("field, value", HOSTILE_FOOTERS, ids=HOSTILE_IDS)
 @pytest.mark.parametrize("codec", ["none", "gzip"])
-def test_mutation_fuzz_raises_only_typed_errors(tmp_path, codec):
+def test_hostile_footers_are_typed(tmp_path, monkeypatch, codec, field, value):
+    monkeypatch.setattr(carc, "PAGE_ROWS", 4)  # pages of 4, 4 and 2 rows
+    path = tmp_path / "h.carc"
+    write_carc(make_rows(50, seed=13), SCHEMA, path, rows_per_group=10, codec=codec)
+    assert [p.row_count for p in read_footer(path).row_groups[0].chunks[0].pages] == [4, 4, 2]
+    write_hostile_footer(path, field, value)
+    for pred in FUZZ_PREDICATES:
+        with pytest.raises(ArchfmtError, match=re.escape(f"{path}@")):
+            list(read_carc(path, pred=pred))
+
+
+@pytest.mark.parametrize("codec", ["none", "gzip"])
+def test_mutation_fuzz_raises_only_typed_errors(tmp_path, monkeypatch, codec):
+    monkeypatch.setattr(carc, "PAGE_ROWS", 5)
+    monkeypatch.setattr(carc, "PAGE_BYTES", 200)
     path = tmp_path / "f.carc"
     write_carc(make_rows(120, seed=31), SCHEMA, path, rows_per_group=16, codec=codec)
+    assert all(len(c.pages) > 1 for g in read_footer(path).row_groups[:-1] for c in g.chunks)
     data = path.read_bytes()
     bad = tmp_path / "bad.carc"
     rng = random.Random(2024)
@@ -514,17 +674,33 @@ def test_mutation_fuzz_raises_only_typed_errors(tmp_path, codec):
                 assert str(exc).startswith(f"{bad}@")
 
 
+@pytest.mark.parametrize("field", ["min", "page_max"])
 @pytest.mark.parametrize(
     "column, stat",
     [("timestamp", b"\x00" * 8), ("urlkey", 7), ("payload", b"x"), ("payload", 3)],
 )
-def test_footer_stat_of_wrong_type_is_footer_corrupt(tmp_path, column, stat):
+def test_footer_stat_of_wrong_type_is_footer_corrupt(tmp_path, column, stat, field):
     path = tmp_path / "s.carc"
     write_carc(make_rows(50, seed=13), SCHEMA, path, rows_per_group=10)
-    write_hostile_footer(path, "min", stat, column=SCHEMA.index_of(column))
+    write_hostile_footer(path, field, stat, column=SCHEMA.index_of(column))
     pred = ScanPredicate.range("timestamp", 0, 10**12)
     with pytest.raises(FooterCorrupt, match=re.escape(f"{path}@")):
         list(read_carc(path, pred=pred))
+
+
+@pytest.mark.parametrize("column", ["urlkey", "note"])
+def test_footer_null_count_that_would_hide_a_group_is_footer_corrupt(tmp_path, column):
+    """A chunk claimed to hold nulls only, in a non-nullable column or beside
+    its own min/max, is rejected: the planner would skip its group."""
+    path = tmp_path / "n.carc"
+    rows = make_rows(50, seed=13)
+    write_carc(rows, SCHEMA, path, rows_per_group=10)
+    ci = SCHEMA.index_of(column)
+    key = next(r[ci] for r in rows[:10] if r[ci] is not None)
+    assert list(read_carc(path, pred=ScanPredicate.isin(column, [key]))) == [r for r in rows if r[ci] == key]
+    write_hostile_footer(path, "null_count", 10, column=ci)
+    with pytest.raises(FooterCorrupt, match=re.escape(f"{path}@")):
+        list(read_carc(path, pred=ScanPredicate.isin(column, [key])))
 
 
 def test_footer_row_counts_must_sum_to_total_rows(tmp_path):

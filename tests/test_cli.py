@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import shutil
 from pathlib import Path
@@ -10,7 +11,7 @@ from archfmt.bench import SyntheticSpec, generate_corpus
 from archfmt.cli import _COMMANDS, _build_parser, main
 from archfmt.convert import convert
 from archfmt.query import DatasetPaths
-from test_carc import HOSTILE_FOOTERS, HOSTILE_IDS, write_hostile_footer
+from test_carc import HOSTILE_FOOTERS, HOSTILE_IDS, SCHEMA, V1_FILE, make_rows, write_hostile_footer
 from test_query import forged_index
 
 
@@ -227,6 +228,72 @@ def test_query_meta_on_hostile_footer_is_data_error(cli_dataset, tmp_path, capsy
     code, out, err = run(capsys, "query", "meta", "--backend", "carc", "--data", str(path))
     assert code == 2
     assert err.startswith(f"error: {path}@")
+
+
+def test_inspect_carc_prints_footer_and_page_index(cli_dataset, capsys):
+    from archfmt.carc import read_footer
+
+    capsys.readouterr()
+    code, out, err = run(capsys, "inspect", cli_dataset["carc"])
+    assert code == 0 and err == ""
+    shown = json.loads(out)
+    footer = read_footer(cli_dataset["carc"])
+    assert (shown["format"], shown["version"], shown["total_rows"]) == ("CARC", 2, 40)
+    assert shown["schema"] == footer.schema.to_text().splitlines()
+    for g, group in zip(footer.row_groups, shown["row_groups"], strict=True):
+        assert group["row_count"] == g.row_count
+        for c, col, chunk in zip(g.chunks, footer.schema.columns, group["chunks"], strict=True):
+            assert (chunk["column"], chunk["offset"], chunk["compressed_len"]) == (col.name, c.chunk_offset, c.chunk_compressed_len)
+            assert [(p["row_count"], p["compressed_len"], p["uncompressed_len"]) for p in chunk["pages"]] == [
+                p[:3] for p in c.pages
+            ]
+    urlkey = shown["row_groups"][0]["chunks"][0]
+    assert urlkey["column"] == "urlkey" and urlkey["min"] == footer.row_groups[0].chunks[0].min.decode()
+
+
+def test_inspect_rarc_prints_block_layout(tmp_path, capsys):
+    from archfmt.rarc import encode_rows, write_rarc
+
+    path = tmp_path / "b.rarc"
+    rows = make_rows(50, seed=3)
+    write_rarc(rows, SCHEMA, path, rows_per_block=16)
+    capsys.readouterr()
+    code, out, err = run(capsys, "inspect", str(path))
+    assert code == 0 and err == ""
+    shown = json.loads(out)
+    assert (shown["format"], shown["codec"], shown["schema"]) == ("RARC", "gzip", SCHEMA.to_text().splitlines())
+    blocks = shown["blocks"]
+    assert [b["rows"] for b in blocks] == [16, 16, 16, 2]
+    assert blocks[0]["offset"] == shown["header_len"]
+    ends = [b["offset"] + 20 + b["stored_len"] + 16 for b in blocks]  # head, stored bytes, sync marker
+    assert [b["offset"] for b in blocks[1:]] + [path.stat().st_size] == ends
+    assert [b["raw_len"] for b in blocks] == [len(encode_rows(rows[i : i + 16], SCHEMA)) for i in range(0, 50, 16)]
+
+
+@pytest.mark.parametrize("fmt", ["carc", "rarc", "v1", "other"])
+def test_inspect_bad_input_is_data_error(cli_dataset, tmp_path, capsys, fmt):
+    path = tmp_path / "bad.bin"
+    if fmt == "v1":
+        path.write_bytes(V1_FILE)
+    elif fmt == "other":
+        path.write_bytes(b"WARC/1.1\r\n")
+    else:
+        data = open(cli_dataset[fmt], "rb").read()
+        path.write_bytes(data[: len(data) * 2 // 3])  # truncated
+    capsys.readouterr()
+    code, out, err = run(capsys, "inspect", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}")
+    assert fmt != "v1" or "CARC version 1;" in err
+
+
+def test_query_on_version_1_carc_is_data_error(tmp_path, capsys):
+    path = tmp_path / "v1.carc"
+    path.write_bytes(V1_FILE)
+    capsys.readouterr()
+    code, out, err = run(capsys, "query", "count", "--backend", "carc", "--data", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}@") and "CARC version 1;" in err
 
 
 def test_unexpected_error_exits_2(cli_dataset, capsys, monkeypatch):
