@@ -228,14 +228,12 @@ class SuiteConfig:
     tasks: tuple[str, ...] = TASKS
     selectivities: tuple[float, ...] = (0.001, 0.01, 0.1, 0.5, 1.0)
     repeats: int = 3
-    seek_ms: float = SEEK_MS
-    mb_per_s: float = MB_PER_S
     extractor: str = "links"
     seed: int = 0
 
 
-def modeled_ms(m: Measurement, seek_ms: float = SEEK_MS, mb_per_s: float = MB_PER_S) -> float:
-    return m.seek_count * seek_ms + m.bytes_read / (mb_per_s * (1 << 20)) * 1000.0
+def modeled_ms(m: Measurement) -> float:
+    return m.seek_count * SEEK_MS + m.bytes_read / (MB_PER_S * (1 << 20)) * 1000.0
 
 
 def _dataset_bytes(backend: str, paths: DatasetPaths) -> int:
@@ -320,7 +318,7 @@ def run_suite(config: SuiteConfig) -> str:
                             m.seek_count,
                             m.open_count,
                             m.records_out,
-                            f"{modeled_ms(m, config.seek_ms, config.mb_per_s):.3f}",
+                            f"{modeled_ms(m):.3f}",
                             _dataset_bytes(backend, config.paths),
                         ]
                     )

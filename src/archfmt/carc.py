@@ -1,20 +1,23 @@
 """Columnar archival container.
 
-Layout (little-endian): magic "CARC" + u16 version, then row groups, then
-footer, u32 CRC32 of the footer, u64 footer length, magic "CARC".  Readers
-locate the footer from the trailer.
+Layout (little-endian): magic "CARC", then row groups, then footer, u32
+CRC32 of the footer, u64 footer length, magic "CARC".  Readers locate the
+footer from the trailer.
 
 A row group holds one chunk per column, and a chunk is a run of pages
-stored back to back.  A page closes at PAGE_ROWS rows, or at the value that
-brings its encoded values to PAGE_BYTES; it is a presence bitmap then the
-values, compressed alone.  The footer keeps per chunk its offset, lengths,
-null count and min/max statistics (INT64 and STRING only), and per page its
-row count, lengths and min/max (the page index), so a query skips the
-groups whose stats interval cannot intersect its predicate, reads only the
-chunks it projects, decodes only the predicate column's pages whose stats
-can match, and inflates of each other projected chunk only the pages that
-hold the matching rows.  The footer also holds the format version; a
-version-1 footer has none, and its file is rejected.
+stored back to back; the chunks lie in group order, then column order.
+A page closes at PAGE_ROWS rows, or at the value that brings its encoded
+values to PAGE_BYTES; it is a presence bitmap then the values, compressed
+alone.  The footer keeps per chunk its null count and per page its row
+count, lengths and min/max statistics (INT64 and STRING only): the page
+index.  It stores nothing that can be derived: a chunk's offset, lengths
+and min/max, a group's row count and the file's are derived from the page
+index when the footer is read.  So a query skips the groups whose stats
+interval cannot intersect its predicate, reads only the chunks it
+projects, decodes only the predicate column's pages whose stats can match,
+and inflates of each other projected chunk only the pages that hold the
+matching rows.  The footer also holds the format version; a file of
+another version is rejected.
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ from .errors import (
 from .iostats import IoTracker
 
 MAGIC = b"CARC"
-VERSION = 2
+VERSION = 3
 TRAILER_LEN = 16  # crc u32 + footer_len u64 + magic
 STAT_TRUNCATE = 64  # bytes kept of STRING min/max
 PAGE_ROWS = 1024  # a page closes at this many rows,
 PAGE_BYTES = 1 << 20  # or once its encoded values reach this many bytes
 _LEN_STRUCT = struct.Struct("<I")
+_CHUNK_STRUCT = struct.Struct("<QI")  # a chunk's null count and page count
 _PAGE_STRUCT = struct.Struct("<IQQ")  # a page's row count, compressed and uncompressed length
 
 CTYPES = ("INT64", "STRING", "BYTES")
@@ -233,6 +237,15 @@ def _span_of(pages: Sequence[PageMeta]) -> tuple[Optional[object], Optional[obje
     return min(p.min for p in held), hi
 
 
+def _chunk_meta(offset: int, null_count: int, pages: list[PageMeta]) -> ChunkMeta:
+    """The chunk whose pages lie back to back from offset: its lengths are
+    its pages' sums, its min/max their span.  The writer and the footer
+    reader both build chunks here, so both derive the same footer."""
+    clen = sum(p.compressed_len for p in pages)
+    ulen = sum(p.uncompressed_len for p in pages)
+    return ChunkMeta(offset, clen, ulen, null_count, *_span_of(pages), pages)
+
+
 def _truncate_min(b: bytes) -> bytes:
     return b[:STAT_TRUNCATE]
 
@@ -350,7 +363,7 @@ def _pack_scalar(v) -> bytes:
     return b"\x02" + struct.pack("<I", len(v)) + v
 
 
-_STAT_TYPE = {"INT64": int, "STRING": bytes, "BYTES": type(None)}  # of a chunk's or page's min/max
+_STAT_TYPE = {"INT64": int, "STRING": bytes, "BYTES": type(None)}  # of a page's min/max
 
 
 def _unpack_scalar(raw: bytes, pos: int):
@@ -372,21 +385,14 @@ def _serialize_footer(footer: CarcFooter) -> bytes:
 
     groups = bytearray(struct.pack("<I", len(footer.row_groups)))
     for g in footer.row_groups:
-        groups += struct.pack("<Q", g.row_count)
         for c in g.chunks:
-            groups += struct.pack(
-                "<QQQQ", c.chunk_offset, c.chunk_compressed_len, c.chunk_uncompressed_len, c.null_count
-            )
-            groups += _pack_scalar(c.min)
-            groups += _pack_scalar(c.max)
-            groups += struct.pack("<I", len(c.pages))
+            groups += _CHUNK_STRUCT.pack(c.null_count, len(c.pages))
             for p in c.pages:
                 groups += _PAGE_STRUCT.pack(p.row_count, p.compressed_len, p.uncompressed_len)
                 groups += _pack_scalar(p.min)
                 groups += _pack_scalar(p.max)
     out += b"\x02" + struct.pack("<I", len(groups)) + groups
 
-    out += b"\x03" + struct.pack("<I", 8) + struct.pack("<Q", footer.total_rows)
     sk = footer.sort_key.encode("utf-8") if footer.sort_key else b""
     out += b"\x04" + struct.pack("<I", len(sk)) + sk
     out += b"\x05" + struct.pack("<I", 1) + bytes([CODEC_ID[footer.codec]])
@@ -394,24 +400,24 @@ def _serialize_footer(footer: CarcFooter) -> bytes:
     return bytes(out)
 
 
-def _stats(raw: bytes, pos: int, col: Column, what: str) -> tuple[object, object, int]:
-    """(min, max, position after them) of a chunk or page of column col."""
+def _stats(raw: bytes, pos: int, col: Column) -> tuple[object, object, int]:
+    """(min, max, position after them) of a page of column col."""
     mn, pos = _unpack_scalar(raw, pos)
     mx, pos = _unpack_scalar(raw, pos)
     if not all(v is None or type(v) is _STAT_TYPE[col.ctype] for v in (mn, mx)):
-        raise FooterCorrupt(f"{what} min/max of {col.ctype} column {col.name}: {mn!r}, {mx!r}")
+        raise FooterCorrupt(f"page min/max of {col.ctype} column {col.name}: {mn!r}, {mx!r}")
     return mn, mx, pos
 
 
 def _deserialize_footer(raw: bytes, data_end: int) -> CarcFooter:
-    """The footer of a file whose row groups lie in [6, data_end).
+    """The footer of a file whose row groups lie in [len(MAGIC), data_end).
 
-    Every length, offset and row count is checked before a reader sizes
-    anything by it: a chunk lies inside the data, its pages' lengths sum to
-    its own and each can inflate to its length, and every column's pages
-    hold at least one row each and the group's rows together.  A chunk holds
-    no more nulls than rows, none in a non-nullable column, and has no
-    min/max if it holds nulls only.
+    Every length and row count is checked before a reader sizes anything by
+    it: the chunks, in group order then column order, tile the data exactly,
+    each page holds at least one row and can inflate to its length, and the
+    columns of a group hold the same number of rows.  A chunk holds no more
+    nulls than rows, none in a non-nullable column, and has no min/max if it
+    holds nulls only.  The groups field is read to its last byte.
     """
     fields = {}
     pos = 0
@@ -427,43 +433,45 @@ def _deserialize_footer(raw: bytes, data_end: int) -> CarcFooter:
     codec = _CODEC_NAME[fields[5][0]]
     graw = fields[2]
     (ngroups,) = struct.unpack_from("<I", graw, 0)
-    gpos = 4
+    gpos, offset = 4, len(MAGIC)
     groups = []
-    for _ in range(ngroups):
-        (row_count,) = struct.unpack_from("<Q", graw, gpos)
-        gpos += 8
-        chunks = []
+    for gi in range(ngroups):
+        chunks, counts = [], set()
         for col in schema.columns:
-            off, clen, ulen, nulls = struct.unpack_from("<QQQQ", graw, gpos)
-            mn, mx, gpos = _stats(graw, gpos + 32, col, "chunk")
-            if not 6 <= off <= data_end - clen:
-                raise FooterCorrupt(f"chunk of {clen} bytes at {off} runs outside the data")
-            # the planner skips a group whose predicate chunk holds nulls only, which then has no min/max
-            if nulls > (row_count if col.nullable else 0) or nulls == row_count and mn is not None:
-                raise FooterCorrupt(f"{nulls} nulls in {row_count} rows of column {col.name}, min {mn!r}")
-            (npages,) = struct.unpack_from("<I", graw, gpos)
-            gpos += 4
+            nulls, npages = _CHUNK_STRUCT.unpack_from(graw, gpos)
+            gpos += _CHUNK_STRUCT.size
             pages = []
             for _ in range(npages):
                 rows, pclen, pulen = _PAGE_STRUCT.unpack_from(graw, gpos)
-                pmn, pmx, gpos = _stats(graw, gpos + _PAGE_STRUCT.size, col, "page")
+                pmn, pmx, gpos = _stats(graw, gpos + _PAGE_STRUCT.size, col)
                 if rows < 1:
                     raise FooterCorrupt(f"page of column {col.name} holds {rows} rows")
                 if not _inflatable(pclen, pulen, codec):
                     raise FooterCorrupt(f"page of {pulen} bytes cannot be stored in {pclen} {codec} bytes")
                 pages.append(PageMeta(rows, pclen, pulen, pmn, pmx))
-            sums = [sum(p[i] for p in pages) for i in range(3)]
-            if sums != [row_count, clen, ulen]:
-                raise FooterCorrupt(f"pages of column {col.name} hold {sums[0]} rows in {sums[1]}/{sums[2]} "
-                                    f"bytes, not {row_count} in {clen}/{ulen}")
-            chunks.append(ChunkMeta(off, clen, ulen, nulls, mn, mx, pages))
-        groups.append(RowGroupMeta(row_count, chunks))
-    (total_rows,) = struct.unpack_from("<Q", fields[3], 0)
-    group_rows = sum(g.row_count for g in groups)
-    if group_rows != total_rows:
-        raise FooterCorrupt(f"row groups hold {group_rows} rows, not {total_rows}")
+            chunk = _chunk_meta(offset, nulls, pages)
+            held = sum(p.row_count for p in pages)
+            # the planner skips a group whose predicate chunk holds nulls only, which then has no min/max
+            if nulls > (held if col.nullable else 0) or nulls == held and chunk.min is not None:
+                raise FooterCorrupt(f"{nulls} nulls in {held} rows of column {col.name}, min {chunk.min!r}")
+            chunks.append(chunk)
+            counts.add(held)
+            offset += chunk.chunk_compressed_len
+        if len(counts) != 1:
+            raise FooterCorrupt(f"the columns of row group {gi} hold {sorted(counts)} rows")
+        groups.append(RowGroupMeta(held, chunks))
+    if gpos != len(graw):
+        raise FooterCorrupt(f"{len(graw) - gpos} bytes follow the row groups in their field")
+    if offset != data_end:
+        raise FooterCorrupt(f"the chunks end at {offset}, not at the footer's start {data_end}")
     sort_key = fields[4].decode("utf-8") or None
-    return CarcFooter(schema, groups, total_rows, sort_key, codec)
+    return CarcFooter(schema, groups, sum(g.row_count for g in groups), sort_key, codec)
+
+
+def _write_footer(out, footer: CarcFooter) -> None:
+    """Close the file out with footer and the trailer."""
+    raw = _serialize_footer(footer)
+    out.write(raw + struct.pack("<IQ", zlib.crc32(raw), len(raw)) + MAGIC)
 
 
 # --- writer -------------------------------------------------------------------
@@ -485,37 +493,29 @@ def write_carc(
     ncols = len(schema.columns)
 
     groups: list[RowGroupMeta] = []
-    total = 0
     prev_key = None
 
     with open(out_path, "wb") as out:
-        out.write(MAGIC + struct.pack("<H", VERSION))
-        offset = out.tell()
+        out.write(MAGIC)
         buffer: list[Sequence] = []
 
         def flush():
-            nonlocal offset, total
             if not buffer:
                 return
-            meta = RowGroupMeta(len(buffer))
+            chunks = []
             for ci, col in enumerate(schema.columns):
-                chunk = ChunkMeta(offset, 0, 0, 0)
+                offset, pages, nulls = out.tell(), [], 0
                 for values in _pages([r[ci] for r in buffer], col):
-                    raw, nulls, mn, mx = _encode_chunk(values, col)
+                    raw, n, mn, mx = _encode_chunk(values, col)
                     stored = compress(raw, codec, compresslevel)
                     out.write(stored)
-                    chunk.pages.append(PageMeta(len(values), len(stored), len(raw), mn, mx))
-                    chunk.chunk_compressed_len += len(stored)
-                    chunk.chunk_uncompressed_len += len(raw)
-                    chunk.null_count += nulls
-                chunk.min, chunk.max = _span_of(chunk.pages)
-                meta.chunks.append(chunk)
-                offset += chunk.chunk_compressed_len
-            groups.append(meta)
-            total += len(buffer)
+                    pages.append(PageMeta(len(values), len(stored), len(raw), mn, mx))
+                    nulls += n
+                chunks.append(_chunk_meta(offset, nulls, pages))
+            groups.append(RowGroupMeta(len(buffer), chunks))
             buffer.clear()
 
-        for row in rows:
+        for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise SchemaMismatch(f"row has {len(row)} fields, schema has {ncols}")
             for ci, col in enumerate(schema.columns):
@@ -523,19 +523,14 @@ def write_carc(
             if sort_idx is not None:
                 key = row[sort_idx]
                 if prev_key is not None and key is not None and key < prev_key:
-                    raise UnsortedInput(total + len(buffer))
+                    raise UnsortedInput(i)
                 if key is not None:
                     prev_key = key
             buffer.append(tuple(row))
             if len(buffer) >= rows_per_group:
                 flush()
         flush()
-
-        footer = _serialize_footer(CarcFooter(schema, groups, total, sort_key, codec))
-        out.write(footer)
-        out.write(struct.pack("<I", zlib.crc32(footer)))
-        out.write(struct.pack("<Q", len(footer)))
-        out.write(MAGIC)
+        _write_footer(out, CarcFooter(schema, groups, sum(g.row_count for g in groups), sort_key, codec))
     return out_path
 
 
@@ -549,15 +544,15 @@ def read_footer(file, tracker: Optional[IoTracker] = None) -> CarcFooter:
 
 def _read_footer_fh(fh, file) -> CarcFooter:
     """The footer, checked against the row-group data, which lies between the
-    leading magic and version and the footer."""
+    leading magic and the footer."""
     size = Path(file).stat().st_size
-    if size < 6 + TRAILER_LEN:
+    if size < len(MAGIC) + TRAILER_LEN:
         raise BadMagic(f"{file}: too small for a CARC file")
     trailer = fh.pread(size - TRAILER_LEN, TRAILER_LEN)
     crc, footer_len = struct.unpack("<IQ", trailer[:12])
     if trailer[12:] != MAGIC:
         raise BadMagic(f"{file}@{size - 4}: trailer magic missing")
-    if footer_len > size - 6 - TRAILER_LEN:
+    if footer_len > size - len(MAGIC) - TRAILER_LEN:
         raise FooterCorrupt(f"{file}@{size - TRAILER_LEN}: footer length {footer_len} exceeds file")
     start = size - TRAILER_LEN - footer_len
     raw = fh.pread(start, footer_len)

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Optional
 from . import convert, warc
 from .carc import ScanPredicate
 from .convert import canonicalize_url  # noqa: F401 (the urlkey codec, importable from here)
-from .errors import ArchfmtError, BadCdxLine, BadDate, BadFieldCount, BadOffset, BadTimestamp
+from .errors import ArchfmtError, BadCdxLine, BadDate, BadFieldCount, BadOffset
 from .httpmsg import http_status
 from .iostats import IoTracker
 
@@ -102,7 +102,7 @@ def _stamp17(s: str) -> str:
     For stamps of the years 1000-9999 the text order of the result is the
     order of their epoch milliseconds."""
     if len(s) not in (14, 17) or not s.isascii() or not s.isdigit():
-        raise BadTimestamp(f"not 14 or 17 digits: {s!r}")
+        raise BadDate(f"not 14 or 17 digits: {s!r}")
     return s.ljust(17, "0")
 
 
@@ -162,7 +162,7 @@ def parse_cdx(
                     if keep is not None and not keep(fields):
                         continue
                     entry = _decode_line(line)
-                except (ValueError, BadTimestamp) as exc:
+                except (ValueError, BadDate) as exc:
                     raise BadCdxLine(str(file), line_no, exc) from None
                 if pred is None or pred.matches(getattr(entry, pred.column)):
                     yield entry
@@ -187,7 +187,7 @@ def _line_chunks(fh) -> Iterator[tuple[int, list[bytes]]]:
 
 
 def _decode_line(line: bytes) -> CdxEntry:
-    """Every field of a nine-field line; ValueError or BadTimestamp if one does not decode."""
+    """Every field of a nine-field line; ValueError or BadDate if one does not decode."""
     text = line.decode("utf-8")
     urlkey, stamp, url, mime, status, digest, length, offset, name = (
         map(_unescape, text.split(" ")) if "%" in text else text.split(" ")

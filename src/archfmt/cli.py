@@ -91,8 +91,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--backends", type=_names, help="comma-separated")
     p.add_argument("--selectivities", type=_numbers, help="comma-separated")
     p.add_argument("--repeats", type=int)
-    p.add_argument("--seek-ms", type=float)
-    p.add_argument("--mb-per-s", type=float)
     p.add_argument("--extractor", choices=("text", "links"))
     p.add_argument("--seed", type=int)
 

@@ -63,9 +63,6 @@ class BadDate(ArchfmtError):
     """A time not in its text form, or outside the years 1000-9999."""
 
 
-BadTimestamp = BadDate  # a CDX stamp is parsed by the codec of the WARC-Date
-
-
 # --- container formats ---
 
 class SchemaMismatch(ArchfmtError):

@@ -35,7 +35,7 @@ class QuerySpec:
 
     def __post_init__(self):
         if self.time_range is not None and self.urlkeys is not None:
-            raise ValueError("at most one predicate")
+            raise ArchfmtError("at most one predicate")
         if self.kind not in KINDS:
             raise ArchfmtError(f"unknown query kind {self.kind!r}")
         unknown = [name for name in self.projection if name not in COL]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from archfmt import cdx, query
+from archfmt import carc, cdx, query
 from archfmt.bench import SyntheticSpec, generate_corpus
 from archfmt.convert import convert
 from archfmt.warc import make_record
@@ -67,6 +67,22 @@ def corpus(tmp_path_factory):
             rarc=rarc_manifest.output,
         ),
     }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def carc_footers_read_as_written():
+    """Every CARC file a test writes reads back the footer its writer built:
+    the writer and the footer reader derive the same chunks from the pages."""
+    write_footer = carc._write_footer
+
+    def checked(out, footer):
+        write_footer(out, footer)
+        out.flush()
+        assert carc.read_footer(out.name) == footer
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(carc, "_write_footer", checked)
+        yield
 
 
 def pytest_collection_modifyitems(items):

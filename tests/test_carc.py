@@ -140,10 +140,8 @@ def test_disjoint_predicate_reads_footer_only(tmp_path):
     chunk_total = sum(
         c.chunk_compressed_len for g in read_footer(path).row_groups for c in g.chunks
     )
-    import os
-
-    # Everything except the chunks and the 6-byte leading magic+version.
-    assert m.bytes_read == os.path.getsize(path) - chunk_total - 6
+    # Everything except the chunks and the leading magic.
+    assert m.bytes_read == path.stat().st_size - chunk_total - len(MAGIC)
 
 
 def test_set_predicate_matches_bruteforce(tmp_path):
@@ -253,23 +251,31 @@ def test_type_mismatched_predicate_plans_everything():
     assert plan_row_groups(footer, pred) == [0, 1]
 
 
-def test_stats_tightness(tmp_path):
+def test_stats_tightness(tmp_path, monkeypatch):
+    """The chunk stats derived from 16-row pages are the min/max of each
+    group's values, and the chunks lie back to back from the leading magic
+    to the footer."""
+    monkeypatch.setattr(carc, "PAGE_ROWS", 16)
     rows = make_rows(1000, seed=8)
     path = tmp_path / "tight.carc"
     write_carc(rows, SCHEMA, path, rows_per_group=128)
     footer = read_footer(path)
-    start = 0
-    ts_i = footer.schema.index_of("timestamp")
-    uk_i = footer.schema.index_of("urlkey")
+    assert {len(c.pages) for g in footer.row_groups[:-1] for c in g.chunks} == {8}
+    start, offset = 0, len(MAGIC)
     for g in footer.row_groups:
-        chunk_rows = rows[start : start + g.row_count]
-        ts_values = [r[1] for r in chunk_rows]
-        assert g.chunks[ts_i].min == min(ts_values)
-        assert g.chunks[ts_i].max == max(ts_values)
-        keys = [r[0] for r in chunk_rows]
-        assert g.chunks[uk_i].min == min(keys).encode()  # keys are < 64 bytes
-        assert g.chunks[uk_i].max == max(keys).encode()
+        group_rows = rows[start : start + g.row_count]
+        for ci, col in enumerate(SCHEMA.columns[:3]):
+            held = [r[ci] for r in group_rows if r[ci] is not None]
+            if col.ctype == "STRING":
+                held = [v.encode() for v in held]  # test values are < 64 bytes
+            c = g.chunks[ci]
+            assert (c.min, c.max, c.null_count) == (min(held), max(held), len(group_rows) - len(held))
+        for c in g.chunks:
+            assert c.chunk_offset == offset
+            offset += c.chunk_compressed_len
         start += g.row_count
+    (footer_len,) = struct.unpack_from("<Q", path.read_bytes(), path.stat().st_size - 12)
+    assert offset == path.stat().st_size - TRAILER_LEN - footer_len
 
 
 def test_projection_monotonicity(tmp_path):
@@ -440,7 +446,7 @@ def test_pages_read_no_more_than_one_page_chunks(tmp_path, monkeypatch, codec):
             for name, path in paths.items():
                 m = IoTracker()
                 got = list(read_carc(path, projection=proj, pred=pred, tracker=m))
-                footer_region = path.stat().st_size - 6 - chunk_bytes(footers[name])
+                footer_region = path.stat().st_size - len(MAGIC) - chunk_bytes(footers[name])
                 cost[name] = (m.seek_count, m.bytes_read - footer_region, [_detached(r) for r in got])
             assert cost["paged"][2] == cost["whole"][2]
             assert cost["paged"][0] <= cost["whole"][0], (pred, proj)
@@ -529,13 +535,28 @@ V1_FILE = bytes.fromhex(
     "02000000000000000308000000020000000000000004000000000501000000008baca323"
     "ad0000000000000043415243"
 )
+# The same rows as the version-2 writer wrote them: paged chunks, and the
+# version in the file head and in the footer.
+V2_FILE = bytes.fromhex(
+    "434152430200030300000061292f0300000062292f030100000000000000020000000000"
+    "0000011d00000075726c6b657920535452494e470a74696d657374616d7020494e543634"
+    "02c000000001000000020000000000000006000000000000000f000000000000000f0000"
+    "00000000000000000000000000020300000061292f020300000062292f01000000020000"
+    "000f000000000000000f00000000000000020300000061292f020300000062292f150000"
+    "000000000011000000000000001100000000000000000000000000000001010000000000"
+    "000001020000000000000001000000020000001100000000000000110000000000000001"
+    "010000000000000001020000000000000003080000000200000000000000040000000005"
+    "0100000000060200000002007a3ebffe060100000000000043415243"
+)
+OLD_VERSIONS = [(1, V1_FILE), (2, V2_FILE)]
 
 
-def test_version_1_file_is_bad_magic_naming_its_version(tmp_path):
-    path = tmp_path / "v1.carc"
-    path.write_bytes(V1_FILE)
+@pytest.mark.parametrize("version, data", OLD_VERSIONS, ids=["v1", "v2"])
+def test_older_version_file_is_bad_magic_naming_its_version(tmp_path, version, data):
+    path = tmp_path / "old.carc"
+    path.write_bytes(data)
     for read in (read_footer, lambda p: list(read_carc(p))):
-        with pytest.raises(BadMagic, match=re.escape(f"{path}@") + ".*CARC version 1;"):
+        with pytest.raises(BadMagic, match=re.escape(f"{path}@") + f".*CARC version {version};"):
             read(path)
 
 
@@ -548,7 +569,7 @@ def test_group_without_a_match_reads_only_its_predicate_chunk(tmp_path):
     m = IoTracker()
     assert list(read_carc(path, pred=pred, tracker=m)) == []
     chunk_total = sum(c.chunk_compressed_len for g in footer.row_groups for c in g.chunks)
-    footer_bytes = path.stat().st_size - chunk_total - 6
+    footer_bytes = path.stat().st_size - chunk_total - len(MAGIC)
     assert m.bytes_read == footer_bytes + footer.row_groups[0].chunks[ts].chunk_compressed_len
     assert m.seek_count == 2 + 1  # trailer, footer, one chunk
 
@@ -590,25 +611,27 @@ def test_scan_predicate_matches():
     assert isin.matches("k999") and not isin.matches("k1000") and not isin.matches(None)
 
 
-# (field of row group 0, of its first chunk, or with "page_", of that
-# chunk's first page, value) written into a footer whose CRC is then
-# recomputed; "schema" puts the value at the start of the schema text
+# (field, value) written into the footer of a file, whose CRC is then
+# recomputed.  The field is one of row group 0's first chunk, or with
+# "page_", of that chunk's first page, or with "mid_page_", of its middle
+# page; it takes value, or value(its value) when value is callable.
+# "schema" puts value at the start of the schema text, and "groups" appends
+# it to the row groups field.
 HOSTILE_FOOTERS = [
-    ("chunk_uncompressed_len", 2**62),
-    ("chunk_uncompressed_len", 2**34),
-    ("row_count", 2**40),
-    ("row_count", 2**31),
-    ("chunk_offset", 2**63 - 1),
     ("schema", b"\xff"),
+    ("groups", b"\x00"),
     ("page_compressed_len", 2**40),
     ("page_compressed_len", 0),
     ("page_uncompressed_len", 2**62),
     ("page_row_count", 0),
     ("page_row_count", 2**31),
+    ("page_row_count", lambda n: n + 1),
+    ("mid_page_compressed_len", lambda n: n + 1),
+    ("mid_page_compressed_len", lambda n: n - 1),
 ]
 HOSTILE_IDS = [
-    "ulen62", "ulen34", "rows40", "rows31", "offset63", "schema_utf8",
-    "page_clen40", "page_clen0", "page_ulen62", "page_rows0", "page_rows31",
+    "schema_utf8", "groups+1byte", "page_clen40", "page_clen0", "page_ulen62",
+    "page_rows0", "page_rows31", "page_rows+1", "mid_page_clen+1", "mid_page_clen-1",
 ]
 
 
@@ -617,17 +640,21 @@ def write_hostile_footer(path, field, value, column=0):
     (footer_len,) = struct.unpack_from("<Q", data, len(data) - 12)
     start = len(data) - TRAILER_LEN - footer_len
     footer = _deserialize_footer(data[start : len(data) - TRAILER_LEN], start)
-    group = footer.row_groups[0]
-    chunk = group.chunks[column]
-    if field == "row_count":
-        group.row_count = value
-    elif field.startswith("page_"):
-        chunk.pages[0] = chunk.pages[0]._replace(**{field[5:]: value})
-    elif field != "schema":
-        setattr(chunk, field, value)
+    chunk = footer.row_groups[0].chunks[column]
+    forge = value if callable(value) else lambda _: value
+    if "page_" in field:
+        pi = len(chunk.pages) // 2 if field.startswith("mid_") else 0
+        name = field.split("page_")[1]
+        chunk.pages[pi] = chunk.pages[pi]._replace(**{name: forge(getattr(chunk.pages[pi], name))})
+    elif field not in ("schema", "groups"):
+        setattr(chunk, field, forge(getattr(chunk, field)))
     raw = _serialize_footer(footer)
     if field == "schema":
         raw = raw[:5] + value + raw[5 + len(value) :]  # after the tag and length
+    elif field == "groups":
+        at = 5 + len(footer.schema.to_text())  # the groups field's tag, after the schema's
+        (n,) = struct.unpack_from("<I", raw, at + 1)
+        raw = raw[: at + 1] + struct.pack("<I", n + len(value)) + raw[at + 5 : at + 5 + n] + value + raw[at + 5 + n :]
     path.write_bytes(data[:start] + raw + struct.pack("<IQ", zlib.crc32(raw), len(raw)) + MAGIC)
 
 
@@ -647,7 +674,7 @@ def test_hostile_footers_are_typed(tmp_path, monkeypatch, codec, field, value):
     assert [p.row_count for p in read_footer(path).row_groups[0].chunks[0].pages] == [4, 4, 2]
     write_hostile_footer(path, field, value)
     for pred in FUZZ_PREDICATES:
-        with pytest.raises(ArchfmtError, match=re.escape(f"{path}@")):
+        with pytest.raises(FooterCorrupt, match=re.escape(f"{path}@")):
             list(read_carc(path, pred=pred))
 
 
@@ -674,7 +701,7 @@ def test_mutation_fuzz_raises_only_typed_errors(tmp_path, monkeypatch, codec):
                 assert str(exc).startswith(f"{bad}@")
 
 
-@pytest.mark.parametrize("field", ["min", "page_max"])
+@pytest.mark.parametrize("field", ["page_min", "page_max"])
 @pytest.mark.parametrize(
     "column, stat",
     [("timestamp", b"\x00" * 8), ("urlkey", 7), ("payload", b"x"), ("payload", 3)],
@@ -703,10 +730,13 @@ def test_footer_null_count_that_would_hide_a_group_is_footer_corrupt(tmp_path, c
         list(read_carc(path, pred=ScanPredicate.isin(column, [key])))
 
 
-def test_footer_row_counts_must_sum_to_total_rows(tmp_path):
+def test_columns_of_a_group_must_hold_the_same_rows(tmp_path):
+    """A page of a nullable column claimed one row longer would read as a
+    null past the group's rows, which shifts the column against the others."""
     path = tmp_path / "r.carc"
-    write_carc(make_rows(200, seed=5), SCHEMA, path, rows_per_group=64)
-    assert sum(1 for _ in read_carc(path, projection=())) == read_footer(path).total_rows == 200
-    write_hostile_footer(path, "row_count", 2**40)
-    with pytest.raises(FooterCorrupt, match=re.escape(f"{path}@")):
-        next(read_carc(path, projection=()))
+    rows = make_rows(200, seed=5)
+    write_carc(rows, SCHEMA, path, rows_per_group=64)
+    assert list(read_carc(path)) == rows and read_footer(path).total_rows == 200
+    write_hostile_footer(path, "page_row_count", lambda n: n + 1, column=SCHEMA.index_of("note"))
+    with pytest.raises(FooterCorrupt, match=re.escape(f"{path}@") + ".*columns of row group 0 hold"):
+        list(read_carc(path))

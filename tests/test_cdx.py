@@ -17,7 +17,7 @@ from archfmt.cdx import (
     parse_timestamp14,
     timestamp14_of,
 )
-from archfmt.errors import BadCdxLine, BadFieldCount, BadOffset, BadTimestamp, NotAbsoluteUrl
+from archfmt.errors import BadCdxLine, BadDate, BadFieldCount, BadOffset, NotAbsoluteUrl
 from archfmt.iostats import IoTracker
 from archfmt.warc import make_record, scan_warc, write_warc
 
@@ -97,7 +97,7 @@ def test_timestamp14_roundtrip_property():
 
 def test_timestamp14_rejects_bad_input():
     for bad in ["2006", "200609191720xx", "20061319172024", "00990101000000"]:
-        with pytest.raises(BadTimestamp):
+        with pytest.raises(BadDate):
             parse_timestamp14(bad)
 
 

@@ -11,7 +11,7 @@ from archfmt.bench import SyntheticSpec, generate_corpus
 from archfmt.cli import _COMMANDS, _build_parser, main
 from archfmt.convert import convert
 from archfmt.query import DatasetPaths
-from test_carc import HOSTILE_FOOTERS, HOSTILE_IDS, SCHEMA, V1_FILE, make_rows, write_hostile_footer
+from test_carc import HOSTILE_FOOTERS, HOSTILE_IDS, OLD_VERSIONS, SCHEMA, make_rows, write_hostile_footer
 from test_query import forged_index
 
 
@@ -227,7 +227,7 @@ def test_query_meta_on_hostile_footer_is_data_error(cli_dataset, tmp_path, capsy
     write_hostile_footer(path, field, value)
     code, out, err = run(capsys, "query", "meta", "--backend", "carc", "--data", str(path))
     assert code == 2
-    assert err.startswith(f"error: {path}@")
+    assert err.startswith(f"error: {path}@") and "cannot decode footer" in err
 
 
 def test_inspect_carc_prints_footer_and_page_index(cli_dataset, capsys):
@@ -238,7 +238,7 @@ def test_inspect_carc_prints_footer_and_page_index(cli_dataset, capsys):
     assert code == 0 and err == ""
     shown = json.loads(out)
     footer = read_footer(cli_dataset["carc"])
-    assert (shown["format"], shown["version"], shown["total_rows"]) == ("CARC", 2, 40)
+    assert (shown["format"], shown["version"], shown["total_rows"]) == ("CARC", 3, 40)
     assert shown["schema"] == footer.schema.to_text().splitlines()
     for g, group in zip(footer.row_groups, shown["row_groups"], strict=True):
         assert group["row_count"] == g.row_count
@@ -270,11 +270,12 @@ def test_inspect_rarc_prints_block_layout(tmp_path, capsys):
     assert [b["raw_len"] for b in blocks] == [len(encode_rows(rows[i : i + 16], SCHEMA)) for i in range(0, 50, 16)]
 
 
-@pytest.mark.parametrize("fmt", ["carc", "rarc", "v1", "other"])
+@pytest.mark.parametrize("fmt", ["carc", "rarc", "v1", "v2", "other"])
 def test_inspect_bad_input_is_data_error(cli_dataset, tmp_path, capsys, fmt):
     path = tmp_path / "bad.bin"
-    if fmt == "v1":
-        path.write_bytes(V1_FILE)
+    old = {f"v{version}": data for version, data in OLD_VERSIONS}
+    if fmt in old:
+        path.write_bytes(old[fmt])
     elif fmt == "other":
         path.write_bytes(b"WARC/1.1\r\n")
     else:
@@ -284,16 +285,17 @@ def test_inspect_bad_input_is_data_error(cli_dataset, tmp_path, capsys, fmt):
     code, out, err = run(capsys, "inspect", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}")
-    assert fmt != "v1" or "CARC version 1;" in err
+    assert fmt not in old or f"CARC version {fmt[1:]};" in err
 
 
-def test_query_on_version_1_carc_is_data_error(tmp_path, capsys):
-    path = tmp_path / "v1.carc"
-    path.write_bytes(V1_FILE)
+@pytest.mark.parametrize("version, data", OLD_VERSIONS, ids=["v1", "v2"])
+def test_query_on_older_version_carc_is_data_error(tmp_path, capsys, version, data):
+    path = tmp_path / "old.carc"
+    path.write_bytes(data)
     capsys.readouterr()
     code, out, err = run(capsys, "query", "count", "--backend", "carc", "--data", str(path))
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {path}@") and "CARC version 1;" in err
+    assert err.startswith(f"error: {path}@") and f"CARC version {version};" in err
 
 
 def test_unexpected_error_exits_2(cli_dataset, capsys, monkeypatch):
@@ -313,7 +315,7 @@ def test_query_count_on_footer_with_bytes_timestamp_stat_is_data_error(cli_datas
     capsys.readouterr()
     path = tmp_path / "t.carc"
     shutil.copyfile(cli_dataset["carc"], path)
-    write_hostile_footer(path, "max", b"\x00" * 8, column=COL["timestamp"])
+    write_hostile_footer(path, "page_max", b"\x00" * 8, column=COL["timestamp"])
     code, out, err = run(
         capsys, "query", "count", "--backend", "carc", "--data", str(path),
         "--from", "20180101000000", "--to", "20190101000000",

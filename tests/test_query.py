@@ -339,12 +339,14 @@ def test_meta_rows_identical_across_backends(corpus, tmp_path):
 
 
 def test_bad_query_spec_is_typed_error():
-    from archfmt.errors import ArchfmtError, UnknownColumn
+    from archfmt.errors import UnknownColumn
 
     with pytest.raises(UnknownColumn):
         QuerySpec(kind="meta", projection=("urlkey", "bogus"))
-    with pytest.raises(ArchfmtError):
+    with pytest.raises(ArchfmtError, match="unknown query kind"):
         QuerySpec(kind="bogus")
+    with pytest.raises(ArchfmtError, match="at most one predicate"):
+        QuerySpec(kind="count", time_range=(0, 1), urlkeys=("a)/",))
 
 
 def test_sub_second_record_agrees_on_all_backends(corpus, tmp_path):
