@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import math
 import gzip
 import random
@@ -166,9 +167,23 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> list[str]:
 
 # --- selectivity derivation ---------------------------------------------------
 
+def _index_stats(cdx_path) -> tuple[list[int], Counter]:
+    """What the selectivities derive from, in one parse of a CDX: every
+    line's timestamp, sorted, and the lines of each urlkey, in first-seen order."""
+    stamps, counts = [], Counter()
+    for e in cdx.parse_cdx(cdx_path):
+        stamps.append(e.timestamp)
+        counts[e.urlkey] += 1
+    stamps.sort()
+    return stamps, counts
+
+
 def selectivity_ranges(cdx_path, targets: Sequence[float]) -> list[tuple[int, int]]:
     """Time ranges whose matched fraction is within 10% relative of each target."""
-    stamps = sorted(e.timestamp for e in cdx.parse_cdx(cdx_path))
+    return _ranges_of(_index_stats(cdx_path)[0], targets)
+
+
+def _ranges_of(stamps: list[int], targets: Sequence[float]) -> list[tuple[int, int]]:
     n = len(stamps)
     out = []
     for s in targets:
@@ -196,7 +211,10 @@ def selectivity_ranges(cdx_path, targets: Sequence[float]) -> list[tuple[int, in
 
 def selectivity_url_lists(cdx_path, targets: Sequence[float], seed: int = 0) -> list[tuple[str, ...]]:
     """URL-key lists hitting each target selectivity, sampled deterministically."""
-    counts = Counter(e.urlkey for e in cdx.parse_cdx(cdx_path))  # first-seen order
+    return _url_lists_of(_index_stats(cdx_path)[1], targets, seed)
+
+
+def _url_lists_of(counts: Counter, targets: Sequence[float], seed: int) -> list[tuple[str, ...]]:
     total = counts.total()
     keys = list(counts)
     random.Random(seed).shuffle(keys)
@@ -240,24 +258,24 @@ def _dataset_bytes(backend: str, paths: DatasetPaths) -> int:
     return sum(Path(f).stat().st_size for f in paths.files(backend))
 
 
-def _task_specs(task: str, config: SuiteConfig) -> list[tuple[float, Optional[QuerySpec]]]:
-    """(selectivity, spec) pairs for one task; spec None marks scan_extract."""
+def _task_specs(task: str, config: SuiteConfig, index) -> list[tuple[float, Optional[QuerySpec]]]:
+    """(selectivity, spec) pairs for one task; spec None marks scan_extract.
+    index() gives the suite's _index_stats of its CDX."""
     if task == "t1":
         return [(1.0, QuerySpec("count"))]
     if task == "t6":
         return [(1.0, None)]
-    cdx_path = config.paths.cdx
-    if cdx_path is None:
+    if config.paths.cdx is None:
         raise EquivalenceFailure("predicated tasks need a CDX index to derive selectivities")
+    stamps, counts = index()
     kind = "meta" if task in ("t2", "t3") else "records"
     if task in ("t2", "t4"):
-        ranges = selectivity_ranges(cdx_path, config.selectivities)
+        ranges = _ranges_of(stamps, config.selectivities)
         return [(s, QuerySpec(kind, time_range=r)) for s, r in zip(config.selectivities, ranges)]
     if task in ("t3", "t5"):
-        lists = selectivity_url_lists(cdx_path, config.selectivities, config.seed)
+        lists = _url_lists_of(counts, config.selectivities, config.seed)
         return [(s, QuerySpec(kind, urlkeys=u)) for s, u in zip(config.selectivities, lists)]
     if task == "single_url":
-        counts = Counter(e.urlkey for e in cdx.parse_cdx(cdx_path))
         total = counts.total()
         key = sorted(counts)[random.Random(config.seed).randrange(len(counts))]
         return [(counts[key] / total, QuerySpec("records", urlkeys=(key,)))]
@@ -295,8 +313,9 @@ def run_suite(config: SuiteConfig) -> str:
     EquivalenceFailure.
     """
     rows = []
+    index = functools.cache(lambda: _index_stats(config.paths.cdx))  # the CDX is parsed once a suite
     for task in config.tasks:
-        for selectivity, spec in _task_specs(task, config):
+        for selectivity, spec in _task_specs(task, config, index):
             cell: list[list] = []
             digests: dict[str, str] = {}
             for backend in config.backends:

@@ -50,13 +50,22 @@ class NotAbsoluteUrl(ArchfmtError):
 
 
 class BadCdxLine(ArchfmtError):
-    def __init__(self, file, line_no, detail):
-        super().__init__(f"{file}:{line_no}: {detail}")
+    """A CDX line that does not decode, at file:line_no; at file@offset when
+    the read went through the summary and so does not know the line's number."""
+
+    def __init__(self, file, line_no, detail, offset=None):
+        super().__init__(f"{file}:{line_no}: {detail}" if line_no is not None else f"{file}@{offset}: {detail}")
         self.line_no = line_no
+        self.offset = offset
 
 
 class BadFieldCount(BadCdxLine):
     pass
+
+
+class BadSummary(LocatedError):
+    """A CDX summary that does not describe its CDX: located in the summary,
+    or in the CDX where the two disagree."""
 
 
 class BadDate(ArchfmtError):

@@ -10,6 +10,7 @@ be checked against each other.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional
@@ -70,9 +71,15 @@ class DatasetPaths:
         return value
 
     def files(self, backend: str) -> list:
-        """Every file backend reads, of those given; none for an unknown backend."""
-        values = [getattr(self, name) for name in self.INPUTS.get(backend, ())]
-        return [f for v in values if v for f in (v if isinstance(v, (tuple, list)) else (v,))]
+        """Every file backend reads, of those given, a CDX's summary after it
+        when there is one; none for an unknown backend."""
+        out = []
+        for name in self.INPUTS.get(backend, ()):
+            value = getattr(self, name)
+            out += value if isinstance(value, (tuple, list)) else [value] if value else []
+            if name == "cdx" and value and os.path.exists(cdx.summary_path(value)):
+                out.append(cdx.summary_path(value))
+        return out
 
 
 BACKENDS = tuple(DatasetPaths.INPUTS)
@@ -93,6 +100,7 @@ def _scan(
     pred: Optional[ScanPredicate],
     tracker: IoTracker,
     bytes_view: bool = False,
+    coalesce: bool = True,
 ) -> Iterator[tuple]:
     """Yield a tuple of exactly `columns`, in that order, per row matching pred.
 
@@ -105,7 +113,8 @@ def _scan(
     fetches the records.  Both WARC backends take their rows from
     convert.response_rows, which derives the urlkey and timestamp of every
     record, and the HTTP split and digest only of a matching record that
-    needs them.  bytes_view is passed to the container readers.
+    needs them.  bytes_view is passed to the container readers, coalesce to
+    cdx.iter_fetch_records.
     """
     source = paths.source(backend)
     if backend in ("carc", "rarc"):
@@ -117,7 +126,7 @@ def _scan(
         if all(c in cdx.CDX_COLUMNS for c in columns):
             yield from (tuple(getattr(e, c) for c in columns) for e in entries)
             return
-        pairs = cdx.iter_fetch_records(list(entries), paths.source("warc"), tracker)  # index pass first
+        pairs = cdx.iter_fetch_records(list(entries), paths.source("warc"), tracker, coalesce)  # index pass first
         pred = None  # the index has applied it
     else:
         pairs = (pair for file in source for pair in warc.scan_warc(file, tracker=tracker))
@@ -244,7 +253,9 @@ def scan_extract(
     """
     tracker = IoTracker()
     lines = []
-    rows = _scan(backend, paths, _EXTRACT_COLUMNS, None, tracker, bytes_view=True)
+    # warc_cdx fetches each record with a read of its own here, as acceptance
+    # criterion 6 assumes; coalesced fetches wait on that criterion (ROADMAP item 6)
+    rows = _scan(backend, paths, _EXTRACT_COLUMNS, None, tracker, bytes_view=True, coalesce=False)
     for mime, digest, url, payload in rows:
         if mime.split(";")[0].strip().lower() != "text/html":
             continue

@@ -172,15 +172,18 @@ def read_header(fh, file) -> tuple[CarcSchema, str, bytes, int]:
     return schema, _CODEC_NAME[codec_id], sync, _HEADER.size + schema_len + SYNC_LEN
 
 
-def _frames(fh, file: str, sync: bytes, offset: int, size: int) -> Iterator[tuple[int, int, int, bytes]]:
-    """The blocks from offset, where fh stands, to the end of the file: per
-    block, its offset, row count, uncompressed length and stored bytes.
+def _frames(
+    fh, file: str, sync: bytes, offset: int, size: int, stop: Optional[int] = None
+) -> Iterator[tuple[int, int, int, bytes]]:
+    """The blocks from offset, where fh stands, to the end of the file, or to
+    the first block that starts at or past stop: per block, its offset, row
+    count, uncompressed length and stored bytes.
 
     A block's stored length is checked against the file size before it is
     read, and its sync marker before anyone inflates it, so a false marker
     tried by resync fails with SyncLost.
     """
-    while True:
+    while stop is None or offset < stop:
         head = fh.read(_BLOCK_HEAD.size)
         if not head:
             return
@@ -197,11 +200,13 @@ def _frames(fh, file: str, sync: bytes, offset: int, size: int) -> Iterator[tupl
         offset = end + SYNC_LEN
 
 
-def _blocks(fh, file: str, header, offset: int, size: int, decode: Callable[[bytes, int], list]) -> Iterator[list]:
+def _blocks(
+    fh, file: str, header, offset: int, size: int, decode: Callable[[bytes, int], list], stop: Optional[int] = None
+) -> Iterator[list]:
     """Per block of _frames, what decode makes of its inflated payload and
     row count; inflate checks the uncompressed length."""
     _, codec, sync, _ = header
-    for at, count, ulen, stored in _frames(fh, file, sync, offset, size):
+    for at, count, ulen, stored in _frames(fh, file, sync, offset, size, stop):
         try:
             rows = decode(inflate(stored, ulen, codec), count)
         except _DECODE_ERRORS as exc:
@@ -270,14 +275,19 @@ def _find_marker(fh, sync: bytes, start: int) -> Optional[int]:
     return base + idx + SYNC_LEN
 
 
-def resync(file, start_offset: int, tracker: Optional[IoTracker] = None) -> Iterator[tuple]:
+def resync(
+    file, start_offset: int, tracker: Optional[IoTracker] = None, end: Optional[int] = None
+) -> Iterator[tuple]:
     """Stream forward from start_offset to a sync marker, then yield every
-    record of every subsequent block.
+    record of every subsequent block, up to the first block that starts at
+    or past end (the end of the file when end is None).
 
     A marker whose copy ends at or after start_offset counts, so resync(0)
-    and resync(header_len) both yield the whole file.  Payload bytes that
-    equal the marker are passed over when no block frames after them.
-    Blocks are read as rows are consumed, so reading stops with the caller.
+    and resync(header_len) both yield the whole file, and a block belongs to
+    the one range [a, b) its start lies in: readers over ranges that tile
+    [0, size) together yield every row once.  Payload bytes that equal the
+    marker are passed over when no block frames after them.  Blocks are
+    read as rows are consumed, so reading stops with the caller.
     """
     file = str(file)
     tracker = tracker or IoTracker()
@@ -293,7 +303,7 @@ def resync(file, start_offset: int, tracker: Optional[IoTracker] = None) -> Iter
         if start_offset > pos:
             pos = _find_marker(fh, sync, start_offset - SYNC_LEN)
         while pos is not None:
-            blocks = _blocks(fh, file, header, pos, size, decode)
+            blocks = _blocks(fh, file, header, pos, size, decode, end)
             try:
                 first = next(blocks, [])
             except SyncLost:

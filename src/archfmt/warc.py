@@ -18,7 +18,7 @@ import gzip
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import BadOffset, GzipCorrupt, IoFailure, LengthMismatch, MalformedHeader
 from .iostats import IoTracker
@@ -217,13 +217,21 @@ def decode_stored(raw: bytes, file: str, offset: int) -> WarcRecord:
         raise BadOffset(file, offset, str(exc)) from None
 
 
-def read_stored(fh, file: str, size: int, offset: int, length: int) -> WarcRecord:
-    """Decode the record stored in the length bytes at offset of fh, an open
-    file of size bytes, with one positioned read; BadOffset unless those
-    bytes lie inside the file.  Every positioned record read goes through here."""
-    if not (0 <= offset and 0 <= length and offset + length <= size):
-        raise BadOffset(file, offset, f"{length} bytes at {offset} do not lie inside its {size} bytes")
-    return decode_stored(fh.pread(offset, length), file, offset)
+def read_stored(fh, file: str, size: int, offset: int, lengths: Sequence[int]) -> Iterator[WarcRecord]:
+    """Decode the records stored back to back from offset of fh, an open file
+    of size bytes, one of each length, with one positioned read; BadOffset
+    at the first record whose bytes do not lie inside the file.  Every
+    positioned record read goes through here."""
+    at = offset
+    for length in lengths:
+        if not (0 <= at and 0 <= length and at + length <= size):
+            raise BadOffset(file, at, f"{length} bytes at {at} do not lie inside its {size} bytes")
+        at += length
+    data = fh.pread(offset, at - offset)
+    at = 0
+    for length in lengths:
+        yield decode_stored(data[at : at + length], file, offset + at)
+        at += length
 
 
 def read_record_at(file, location: RecordLocation, tracker: Optional[IoTracker] = None) -> WarcRecord:
@@ -231,7 +239,7 @@ def read_record_at(file, location: RecordLocation, tracker: Optional[IoTracker] 
     file = str(file)
     tracker = tracker or IoTracker()
     with tracker.open(file) as fh:
-        return read_stored(fh, file, os.path.getsize(file), location.offset, location.stored_length)
+        return next(read_stored(fh, file, os.path.getsize(file), location.offset, [location.stored_length]))
 
 
 def serialize_record(record: WarcRecord) -> bytes:

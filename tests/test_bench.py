@@ -136,12 +136,28 @@ def test_suite_t4_sweep_shapes(bench_dataset, tmp_path):
     ]
     assert len(set(warc_bytes)) == 1
     assert cdx_bytes == sorted(cdx_bytes) and cdx_bytes[0] < cdx_bytes[-1]
+    # at s = 1 every record is fetched, in file order, so each file is one read after the CDX pass
+    [full] = [r for r in rows if r["backend"] == "warc_cdx" and r["selectivity"] == "1" and r["repeat"] == "0"]
+    assert int(full["seek_count"]) == 1 + len(paths.warc_files)
     # determinism across repeats for everything but wall time
     for key in ("bytes_read", "seek_count", "records_out"):
         by_cell = {}
         for r in rows:
             by_cell.setdefault((r["task"], r["backend"], r["selectivity"]), set()).add(r[key])
         assert all(len(v) == 1 for v in by_cell.values())
+
+
+def test_suite_parses_the_cdx_once(bench_dataset, tmp_path, monkeypatch):
+    from archfmt import bench
+
+    _, _, paths = bench_dataset
+    calls = []
+    real = bench.cdx.parse_cdx
+    monkeypatch.setattr(bench.cdx, "parse_cdx", lambda *a, **k: calls.append(a) or real(*a, **k))
+    config = SuiteConfig(paths=paths, out_csv=str(tmp_path / "once.csv"), backends=("carc",),
+                         tasks=("t1", "t2", "t3", "t4", "t5", "single_url"), selectivities=(0.1, 1.0), repeats=1)
+    run_suite(config)
+    assert calls == [(paths.cdx,)]
 
 
 def test_modeled_crossover_at_full_selectivity(bench_dataset, tmp_path):

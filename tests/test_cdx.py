@@ -164,10 +164,44 @@ def test_fetch_records_matches_scan(tmp_path):
     entries = list(parse_cdx(cdx_path))
     m = IoTracker()
     records = [r for r, _ in iter_fetch_records(entries, [path], m)]
-    assert m.seek_count == 10 and m.open_count == 1
-    assert sorted(r.record_id for r in records) == sorted(
-        r.record_id for r, _ in scan_warc(path)
-    )
+    # the ten records are stored back to back: one positioned read fetches them all
+    assert (m.seek_count, m.open_count, m.bytes_read) == (1, 1, path.stat().st_size)
+    assert [r.record_id for r in records] == [r.record_id for r, _ in scan_warc(path)]
+    m = IoTracker()
+    apart = [r for r, _ in iter_fetch_records(entries, [path], m, coalesce=False)]
+    assert (m.seek_count, m.open_count, m.bytes_read) == (10, 1, path.stat().st_size)
+    assert [r.record_id for r in apart] == [r.record_id for r in records]
+
+
+@pytest.mark.parametrize("cap", [1, 2500, 6000, 1 << 30])
+def test_fetches_merge_adjacent_records_in_file_order_up_to_a_cap(tmp_path, monkeypatch, cap):
+    monkeypatch.setattr(cdx_mod, "_FETCH_BYTES", cap)
+    a, b = tmp_path / "a.warc.gz", tmp_path / "b.warc"
+    write_warc(synth_records(12, seed=5), a, mode="member_gzip")
+    write_warc(synth_records(9, seed=6), b)
+    cdx_path = tmp_path / "ab.cdx"
+    build_cdx([b, a], cdx_path)
+    entries = list(parse_cdx(cdx_path))
+    rng = random.Random(cap)
+    picked = rng.sample(entries, 15)
+    m = IoTracker()
+    got = [(loc.file, loc.offset, r.record_id) for r, loc in iter_fetch_records(picked, [a, b], m)]
+    want = sorted((str(a if e.filename == a.name else b), e.offset) for e in picked)
+    assert [g[:2] for g in got] == want  # file order, whatever the order of the lines
+    by_place = {(str(loc.file), loc.offset): r.record_id for f in (a, b) for r, loc in scan_warc(f)}
+    assert [g[2] for g in got] == [by_place[w] for w in want]
+    runs, run_bytes = 0, 0  # reads of back-to-back extents, none over cap unless one record is
+    order = sorted(picked, key=lambda e: (e.filename, e.offset))
+    for prev, e in zip([None] + order, order):
+        if prev and prev.filename == e.filename and prev.offset + prev.stored_length == e.offset \
+                and run_bytes + e.stored_length <= cap:
+            run_bytes += e.stored_length
+        else:
+            runs, run_bytes = runs + 1, e.stored_length
+    assert m.seek_count == runs and m.bytes_read == sum(e.stored_length for e in picked)
+    assert m.open_count == len({e.filename for e in picked})
+    if cap == 1:
+        assert runs == len(picked)
 
 
 def test_fetch_records_bad_offset(tmp_path):
@@ -463,3 +497,203 @@ def test_warc_cdx_serves_no_record_named_outside_the_dataset(tmp_path):
     with pytest.raises(BadCdxLine):
         run_query(QuerySpec(kind="records"), "warc_cdx", paths)
 
+
+
+# --- the summary: a urlkey lookup reads the blocks that can hold its keys ------
+
+def _summary_corpus(rng, n=240):
+    """Entries over urlkeys that need escapes, the empty one, and one key
+    with captures enough to span blocks, sorted as build_cdx sorts."""
+    keys = ["", "com,a)/", "com,a)/x%20y", "com,a)/x y", "com,a)/a%25b", "com,a)/%", "org,b)/q?x=1"]
+    keys += [f"net,k{i:03d})/" for i in range(40)]
+    entries = _mixed_entries(rng, keys, n)
+    entries += [CdxEntry("net,k020)/many", 1526889600000 + i, "u", "", -1, "D", 1, i, "f") for i in range(70)]
+    return sorted(entries, key=lambda e: (e.urlkey, e.timestamp))
+
+
+def _lookup(path, keys, tracker=None):
+    return list(parse_cdx(path, ScanPredicate.isin("urlkey", keys), tracker))
+
+
+@pytest.mark.parametrize("lines", [1, 3, 64])
+def test_summary_reads_equal_whole_file_reads(tmp_path, monkeypatch, lines):
+    monkeypatch.setattr(cdx_mod, "SUMMARY_LINES", lines)
+    rng = random.Random(lines)
+    entries = _summary_corpus(rng)
+    path = tmp_path / "s.cdx"
+    cdx_mod._write_index(entries, path)
+    summary = tmp_path / "s.cdx.idx"
+    assert len(summary.read_bytes().splitlines()) == 1 + -(-len(entries) // lines)
+    keys = sorted({e.urlkey for e in entries})
+    spanning = "net,k020)/many"
+    assert sum(e.urlkey == spanning for e in entries) > 64  # its captures cross a block boundary
+    queries = [[k] for k in keys] + [["\x00"], ["~~~"], ["com,a)/x"], ["net,k020)/man"], ["net,k020)/manz"]]
+    queries += [rng.sample(keys + ["absent)/", "zzz)/"], rng.randint(1, 50)) for _ in range(30)]
+    size = path.stat().st_size
+    for q in queries:
+        expected = [e for e in entries if e.urlkey in set(q)]
+        tracker = IoTracker()
+        assert _lookup(path, q, tracker) == expected, q
+        if len(q) == 1 and lines < 64:
+            assert tracker.bytes_read < size and tracker.open_count <= 2 and tracker.seek_count <= 2
+    summary.unlink()  # the same answers from the whole file
+    assert all(_lookup(path, q) == [e for e in entries if e.urlkey in set(q)] for q in queries)
+
+
+def test_summary_of_an_empty_cdx_and_of_a_time_range(tmp_path):
+    path = tmp_path / "e.cdx"
+    cdx_mod._write_index([], path)
+    assert (tmp_path / "e.cdx.idx").read_bytes() == b" CDX-SUMMARY 23\n"
+    tracker = IoTracker()
+    assert _lookup(path, ["com,a)/"], tracker) == []
+    assert (tracker.bytes_read, tracker.seek_count, tracker.open_count) == (16 + 23, 2, 2)  # no block: the whole file
+    entries = _summary_corpus(random.Random(4))
+    cdx_mod._write_index(entries, path)
+    tracker = IoTracker()
+    window = ScanPredicate.range("timestamp", -10**15, 10**15)
+    assert list(parse_cdx(path, window, tracker)) == [e for e in entries if window.matches(e.timestamp)]
+    assert (tracker.bytes_read, tracker.seek_count, tracker.open_count) == (path.stat().st_size, 1, 1)
+
+
+def _stale_cases(data: bytes, starts: list[int]) -> dict:
+    lines = data.split(b"\n")
+    at = starts[2]  # the first line of the third block: one letter of its urlkey changed
+    edited = bytearray(data)
+    edited[at + 4] = ord("b") if data[at + 4] != ord("b") else ord("c")
+    return {
+        "appended": data + lines[-2] + b"\n",
+        "truncated": data[:-40],
+        "a line removed": b"\n".join(lines[:5] + lines[6:]),
+        "a block's first line edited": bytes(edited),
+    }
+
+
+def test_a_stale_summary_is_a_located_error(tmp_path, monkeypatch, capsys):
+    from archfmt.cli import main
+    from archfmt.errors import BadSummary
+
+    monkeypatch.setattr(cdx_mod, "SUMMARY_LINES", 8)
+    entries = sorted((CdxEntry(f"com,k{i:03d})/", 1526889600000 + i, f"http://k{i}.com/", "", 200, "D", 1, i, "f")
+                      for i in range(60)), key=lambda e: (e.urlkey, e.timestamp))
+    path = tmp_path / "st.cdx"
+    cdx_mod._write_index(entries, path)
+    data = path.read_bytes()
+    starts = [int(line.split(b" ")[1]) for line in (tmp_path / "st.cdx.idx").read_bytes().splitlines()[1:]]
+    urls = tmp_path / "urls.txt"
+    urls.write_text("http://k016.com/\n")  # the urlkey com,k016)/
+    for case, stale in _stale_cases(data, starts).items():
+        path.write_bytes(stale)
+        with pytest.raises(BadSummary, match=rf"^{re.escape(str(path))}(\.idx)?@\d+: ") as exc:
+            _lookup(path, ["com,k016)/"])
+        where = (str(path), starts[2]) if case.startswith("a block") else (f"{path}.idx", 0)
+        assert (exc.value.file, exc.value.offset) == where, case
+        capsys.readouterr()
+        assert main(["query", "meta", "--backend", "warc_cdx", "--cdx", str(path), "--warc", str(tmp_path / "f"),
+                     "--url-file", str(urls)]) == 2
+        assert "error: " in capsys.readouterr().err
+
+
+def test_a_block_read_starts_a_line_and_its_lines_are_in_order(tmp_path, monkeypatch):
+    from archfmt.errors import BadSummary
+
+    monkeypatch.setattr(cdx_mod, "SUMMARY_LINES", 1)
+    entries = [CdxEntry(k, 1526889600000, "u", "", 200, "D", 1, 0, "f") for k in ("a)/", "xb)/", "z)/")]
+    path = tmp_path / "o.cdx"
+    cdx_mod._write_index(entries, path)
+    summary = tmp_path / "o.cdx.idx"
+    at = int(summary.read_bytes().splitlines()[2].split(b" ")[1])
+    # the second block moved one byte into its line, where the bytes read "b)/ " and a line of nine fields
+    summary.write_bytes(summary.read_bytes().replace(b"xb)/ %d\n" % at, b"b)/ %d\n" % (at + 1)))
+    with pytest.raises(BadSummary, match=re.escape(f"{path}@{at + 1}: no CDX line starts here")):
+        _lookup(path, ["c)/"])
+    monkeypatch.setattr(cdx_mod, "SUMMARY_LINES", 8)
+    entries = [CdxEntry(f"com,k{i:03d})/", 1526889600000, "u", "", 200, "D", 1, i, "f") for i in range(40)]
+    cdx_mod._write_index(entries, path)
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"com,k010)/", b"com,k030)/"))  # a line inside the second block, same size
+    with pytest.raises(BadCdxLine, match=rf"^{re.escape(str(path))}@{data.index(b'com,k011)/')}: not in .* order"):
+        _lookup(path, ["com,k011)/"])
+    # two captures of one key, their timestamps swapped in place: in urlkey order, not in time order
+    entries = [CdxEntry(f"com,a{i:02d})/", 1526889600000, "u", "", 200, "D", 1, i, "f") for i in range(16)]
+    entries += [CdxEntry("com,k)/", 1526889700000 + 1000 * i, "u", "", 200, "D", 1, i, "f") for i in range(8)]
+    entries += [CdxEntry(f"com,z{i:02d})/", 1526889600000, "u", "", 200, "D", 1, i, "f") for i in range(16)]
+    cdx_mod._write_index(entries, path)
+    a, b = entries[18].timestamp14.encode(), entries[21].timestamp14.encode()
+    path.write_bytes(path.read_bytes().replace(a, b"#" * len(a)).replace(b, a).replace(b"#" * len(a), b))
+    with pytest.raises(BadCdxLine, match="not in .* order"):
+        _lookup(path, ["com,k)/"])
+    # a list that needs every block reads the file whole, as it would without a summary
+    keys = [e.urlkey for e in entries]
+    tracker = IoTracker()
+    assert _lookup(path, keys, tracker) == [e for e in parse_cdx(path) if e.urlkey in keys]
+    assert tracker.bytes_read == path.stat().st_size + summary.stat().st_size and tracker.seek_count == 2
+
+
+def test_summary_fuzz_fails_only_with_located_errors(tmp_path, monkeypatch):
+    """Whatever a mutated or truncated summary says, a lookup answers as the
+    whole file does or fails with an error that names file@offset."""
+    from archfmt.errors import ArchfmtError
+
+    monkeypatch.setattr(cdx_mod, "SUMMARY_LINES", 3)
+    entries = _summary_corpus(random.Random(8), n=60)
+    path = tmp_path / "z.cdx"
+    cdx_mod._write_index(entries, path)
+    summary = tmp_path / "z.cdx.idx"
+    good = summary.read_bytes()
+    keys = sorted({e.urlkey for e in entries})
+    rng = random.Random(2026)
+    queries = [[k] for k in rng.sample(keys, 8)] + [["absent)/"], rng.sample(keys, 5), keys]
+    located = re.compile(rf"^({re.escape(str(path))}|{re.escape(str(summary))})@\d+: ")
+    outcomes = set()
+    for i in range(400):
+        if i % 4:
+            mutated = bytearray(good)
+            for _ in range(rng.choice([1, 1, 2])):
+                at = rng.randrange(len(good))
+                mutated[at] = rng.choice([(mutated[at] + rng.randrange(1, 256)) % 256, ord(rng.choice("0189 \n,a"))])
+            summary.write_bytes(bytes(mutated))
+        else:
+            summary.write_bytes(good[: rng.randrange(len(good))])
+        for q in queries:
+            try:
+                got = _lookup(path, q)
+            except ArchfmtError as exc:
+                assert located.match(str(exc)), str(exc)
+                outcomes.add(type(exc).__name__)
+            else:
+                assert got == [e for e in entries if e.urlkey in set(q)], (i, q)
+                outcomes.add("answer")
+    assert {"answer", "BadSummary"} <= outcomes
+
+
+@pytest.mark.parametrize("body", [
+    b" CDX-SUMMARY %d\ncom,a)/ 0\ncom,b)/ 999999999999999999\n",  # a block past the end
+    b" CDX-SUMMARY %d\ncom,a)/ 0\ncom,b)/ 99999999999999999999999999\n",  # a number too long to be an offset
+    b" CDX-SUMMARY %d\ncom,a)/ 5\n",  # the first block does not start at 0
+    b" CDX-SUMMARY %d\ncom,b)/ 0\ncom,a)/ 40\n",  # keys out of order
+    b" CDX-SUMMARY %d\ncom,a)/ 0\ncom,b)/ 40\ncom,c)/ 40\n",  # a block that starts where one did
+    b" CDX-SUMMARY 99999999999999999999999\ncom,a)/ 0\n",  # another CDX size
+    b" CDX-SUMMARY %d\ncom,a)/ 0",  # cut short
+    b"CDX-SUMMARY %d\ncom,a)/ 0\n",  # no summary
+])
+def test_summary_numbers_are_checked_before_they_are_used(tmp_path, body):
+    from archfmt.errors import BadSummary
+
+    path = tmp_path / "n.cdx"
+    cdx_mod._write_index(_summary_corpus(random.Random(1), n=30), path)
+    (tmp_path / "n.cdx.idx").write_bytes(body.replace(b"%d", b"%d" % path.stat().st_size))
+    with pytest.raises(BadSummary, match=rf"^{re.escape(str(path))}\.idx@\d+: "):
+        _lookup(path, ["com,a)/"])
+
+
+def test_a_summary_larger_than_its_cdx_is_refused_unread(tmp_path):
+    from archfmt.errors import BadSummary
+
+    path = tmp_path / "l.cdx"
+    cdx_mod._write_index(_summary_corpus(random.Random(2), n=10), path)
+    summary = tmp_path / "l.cdx.idx"
+    summary.write_bytes(summary.read_bytes() + b"x" * path.stat().st_size)
+    tracker = IoTracker()
+    with pytest.raises(BadSummary, match="more than"):
+        _lookup(path, ["com,a)/"], tracker)
+    assert tracker.bytes_read == 0

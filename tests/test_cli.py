@@ -184,7 +184,7 @@ def test_bench_and_report_end_to_end(cli_dataset, tmp_path, capsys):
     # t1 runs once per backend; t2 once per backend per selectivity
     assert len(rows) == 4 + 4 * 2
     paths = DatasetPaths((cli_dataset["warc"],), cli_dataset["cdx"], cli_dataset["carc"], cli_dataset["rarc"])
-    assert paths.files("warc_cdx") == [cli_dataset["cdx"], cli_dataset["warc"]]
+    assert paths.files("warc_cdx") == [cli_dataset["cdx"], cli_dataset["cdx"] + ".idx", cli_dataset["warc"]]
     for r in rows:
         assert int(r["dataset_bytes"]) == sum(os.path.getsize(f) for f in paths.files(r["backend"]))
     code, out, _ = run(capsys, "report", "--csv", out_csv, "--out-dir", str(tmp_path / "rep"))

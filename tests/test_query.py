@@ -138,8 +138,37 @@ def test_monotone_io_warc_cdx_and_constant_warc(corpus):
     assert len(set(warc_bytes)) == 1  # full scan regardless of selectivity
 
 
+def _fetch_reads(matches) -> int:
+    """Positioned reads that fetch matches: one per run of extents stored back to back."""
+    order = sorted(matches, key=lambda e: (e.filename, e.offset))
+    return sum(1 for prev, e in zip([None] + order, order)
+               if not (prev and prev.filename == e.filename and prev.offset + prev.stored_length == e.offset))
+
+
+def _summary_read(cdx_path, keys) -> tuple[int, int, int]:
+    """(bytes, seeks, opens) of a urlkey read through the summary of a CDX
+    under 1 MiB, whose blocks are all read in one run: the whole summary;
+    then one seek, the byte before the run unless it starts at 0, the run
+    from the first block whose first key is below a key (or the first
+    block) through the last whose first key is not above one (or the first
+    block), and the first urlkey field and space of the block after it."""
+    import os
+
+    summary = open(cdx.summary_path(cdx_path), "rb").read()
+    blocks = [line.split(b" ") for line in summary.split(b"\n")[1:-1]]
+    firsts, starts = [f.decode() for f, _ in blocks], [int(n) for _, n in blocks]
+    picked = [i for i in range(len(blocks)) for k in keys
+              if (firsts[i] <= k or i == 0) and (i + 1 == len(blocks) or firsts[i + 1] >= k)]
+    lo, hi = min(picked), max(picked)
+    end = starts[hi + 1] if hi + 1 < len(blocks) else os.path.getsize(cdx_path)
+    fence = len(blocks[hi + 1][0]) + 1 if hi + 1 < len(blocks) else 0
+    return len(summary) + (starts[lo] > 0) + end - starts[lo] + fence, 2, 2
+
+
 def test_warc_cdx_io_is_one_index_pass_plus_one_read_per_match(corpus):
-    """warc_cdx reads the whole CDX once, then each matching record once."""
+    """warc_cdx reads the CDX once, the whole file for a time range and the
+    summary and the blocks that can hold the keys for a URL list, then the
+    matching records, one positioned read per run stored back to back."""
     import os
 
     paths = corpus["paths"]
@@ -149,21 +178,24 @@ def test_warc_cdx_io_is_one_index_pass_plus_one_read_per_match(corpus):
     stamps = sorted(e.timestamp for e in entries)
     specs = [QuerySpec(kind="records", urlkeys=tuple(rng.sample(keys, n)) + ("absent)/",))
              for n in (0, 1, 3)]
+    specs.append(QuerySpec(kind="records", urlkeys=(keys[0], keys[-1], "zzz)/")))
     for n in (0, 1, 30, len(stamps) - 1):
         i = rng.randrange(len(stamps) - n)
         specs.append(QuerySpec(kind="records", time_range=(stamps[i], stamps[i + n])))
     cdx_size = os.path.getsize(paths.cdx)
+    assert len(open(cdx.summary_path(paths.cdx)).read().splitlines()) == 1 + -(-len(entries) // cdx.SUMMARY_LINES)
     for spec in specs:
         pred = spec.predicate()
         matches = [e for e in entries if pred.matches(getattr(e, pred.column))]
+        index = (cdx_size, 1, 1) if spec.urlkeys is None else _summary_read(paths.cdx, spec.urlkeys)
         m = run_query(spec, "warc_cdx", paths, keep_rows=False).measurement
         assert m.records_out == len(matches)
-        assert m.bytes_read == cdx_size + sum(e.stored_length for e in matches)
-        assert m.seek_count == 1 + len(matches)
-        assert m.open_count == 1 + len({e.filename for e in matches})
+        assert m.bytes_read == index[0] + sum(e.stored_length for e in matches)
+        assert m.seek_count == index[1] + _fetch_reads(matches)
+        assert m.open_count == index[2] + len({e.filename for e in matches})
         meta = run_query(QuerySpec(kind="meta", time_range=spec.time_range, urlkeys=spec.urlkeys),
                          "warc_cdx", paths).measurement
-        assert (meta.bytes_read, meta.seek_count, meta.open_count) == (cdx_size, 1, 1)
+        assert (meta.bytes_read, meta.seek_count, meta.open_count) == index
     full = run_query(QuerySpec(kind="meta"), "warc_cdx", paths).measurement
     assert (full.bytes_read, full.seek_count, full.open_count) == (cdx_size, 1, 1)
 
@@ -495,7 +527,7 @@ def forged_index(tmp_path) -> DatasetPaths:
     cdx.build_cdx([warc_path], cdx_path)
     entries = [dataclasses.replace(e, offset=loc.offset, stored_length=loc.stored_length)
                for e, loc in zip(cdx.parse_cdx(cdx_path), (request, response_a))]
-    cdx_path.write_text("".join(line + "\n" for line in [cdx.CDX_HEADER] + [e.to_line() for e in entries]))
+    cdx._write_index(entries, cdx_path)  # the forged CDX and its summary
     return DatasetPaths((str(warc_path),), str(cdx_path))
 
 

@@ -311,3 +311,30 @@ def test_resync_passes_a_false_marker_with_a_bad_length(tmp_path):
     false_marker = path.read_bytes().find(sync, hlen)
     assert false_marker < _block_heads(path)[2][1]  # inside the first block
     assert list(resync(path, false_marker)) == rows[10:]
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_resync_ranges_tile_the_file_and_yield_every_row_once(tmp_path, monkeypatch, chunk):
+    """Readers over [a, b) ranges that tile the file need no trimming: each
+    yields the blocks that start in its range, and together every row once."""
+    monkeypatch.setattr(rarc_mod, "_READ_CHUNK", chunk)
+    rows = make_rows(500, seed=16)
+    path = tmp_path / "t.rarc"
+    write_rarc(rows, SCHEMA, path, rows_per_block=23)
+    _, hlen, heads = _block_heads(path)
+    size = os.path.getsize(path)
+    counts = [min(23, len(rows) - 23 * i) for i in range(len(heads))]  # the rows of each block
+    rng = random.Random(chunk)
+    edges = sorted({p + d for p in heads for d in (-1, 0, 1)} | {hlen, size})
+    for cuts in [[], edges, rng.sample(range(1, size), 40), rng.sample(range(1, size), 3)]:
+        bounds = [0] + sorted(set(cuts) - {0, size}) + [size]
+        parts = []
+        for a, b in zip(bounds, bounds[1:]):
+            part = list(resync(path, a, end=b))
+            assert len(part) == sum(n for h, n in zip(heads, counts) if a <= h < b)
+            parts.extend(part)
+        assert parts == rows
+    # a reader stops at its end: it reads no block that starts past it
+    tracker = IoTracker()
+    assert list(resync(path, 0, tracker, end=heads[1])) == rows[:23]
+    assert tracker.bytes_read < heads[2]
