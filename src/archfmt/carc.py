@@ -547,7 +547,7 @@ def _read_footer_fh(fh, file) -> CarcFooter:
     leading magic and the footer."""
     size = Path(file).stat().st_size
     if size < len(MAGIC) + TRAILER_LEN:
-        raise BadMagic(f"{file}: too small for a CARC file")
+        raise BadMagic(f"{file}@0: too small for a CARC file")
     trailer = fh.pread(size - TRAILER_LEN, TRAILER_LEN)
     crc, footer_len = struct.unpack("<IQ", trailer[:12])
     if trailer[12:] != MAGIC:

@@ -124,8 +124,8 @@ def _format_stamp(epoch_ms: int) -> str:
 
 
 def timestamp14_of(epoch_ms: int) -> str:
-    """Epoch milliseconds to YYYYMMDDhhmmss, truncating sub-second toward zero."""
-    return _format_stamp(epoch_ms - (epoch_ms % 1000 if epoch_ms >= 0 else -(-epoch_ms % 1000)))
+    """Epoch milliseconds to YYYYMMDDhhmmss, the second that holds them."""
+    return _format_stamp(epoch_ms)[:14]
 
 
 def _stamp17(s: str) -> str:

@@ -169,7 +169,7 @@ def _cmd_inspect(args) -> int:
         magic = fh.read(4)
     describe = {carc.MAGIC: carc.describe, rarc.MAGIC: rarc.describe}.get(magic)
     if describe is None:
-        raise BadMagic(f"{args.file}: neither a CARC nor an RARC file")
+        raise BadMagic(f"{args.file}@0: neither a CARC nor an RARC file")
     print(json.dumps(describe(args.file), indent=1))
     return 0
 

@@ -185,10 +185,10 @@ def response_rows(
 
     The urlkey and the timestamp of every response record are derived, so
     the same records fail whatever is asked.  The rest of a row, which needs
-    the HTTP split and the payload digest, is derived by to_canonical only
-    for the records pred matches, and only when pred or columns (every
-    column when None) names a column the WARC headers do not give; otherwise
-    those fields of the row hold None.  A BadDate or NotAbsoluteUrl from the
+    the HTTP split and the payload digest, is derived by to_canonical for
+    every record when pred names a column the WARC headers do not give (such
+    as mime), else for the records pred matches when columns (every column
+    when None) names one; otherwise those fields of the row hold None.  A BadDate or NotAbsoluteUrl from the
     derivation is raised again as the same class, prefixed with the
     record's file@offset."""
     early = pred is not None and pred.column in _HEADER_COLUMNS  # tested before the HTTP split

@@ -43,9 +43,9 @@ def split_http_block(block: bytes) -> tuple[int, str, Optional[str], bytes]:
 def http_fields(content_type: str, block: bytes) -> tuple[int, str, Optional[str], bytes]:
     """(status, mime, header_text, payload) of a WARC block: application/http
     blocks are split, others come back whole with status -1 and no header
-    text.  mime falls back to the WARC Content-Type."""
-    warc_mime = content_type.split(";")[0].strip()
-    if warc_mime.lower() == "application/http":
+    text.  mime, the WARC Content-Type's if the block gives none, is lowercase and without parameters."""
+    warc_mime = content_type.split(";")[0].strip().lower()
+    if warc_mime == "application/http":
         status, mime, headers, payload = split_http_block(block)
     else:
         status, mime, headers, payload = -1, "", None, block

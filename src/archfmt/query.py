@@ -108,13 +108,13 @@ def _scan(
     builds those only for the rows that match.  carc reads only the chunks
     it needs of the row groups the planner keeps, and of a group only the
     predicate chunk when no row matches.  rarc walks every row of every
-    block.  warc_cdx has parse_cdx decode only the index lines pred matches,
+    block.  warc_cdx has parse_cdx keep only the index lines pred matches,
     and answers from the CDX alone when every column is a CDX column, else
-    fetches the records.  Both WARC backends take their rows from
+    fetches their records.  Both WARC backends take their rows from
     convert.response_rows, which derives the urlkey and timestamp of every
-    record, and the HTTP split and digest only of a matching record that
-    needs them.  bytes_view is passed to the container readers, coalesce to
-    cdx.iter_fetch_records.
+    record, and the HTTP split and digest of a record only when pred tests a
+    column they give (mime) or a matching row asks for one.  bytes_view is
+    passed to the container readers, coalesce to cdx.iter_fetch_records.
     """
     source = paths.source(backend)
     if backend in ("carc", "rarc"):
@@ -241,12 +241,13 @@ def _escape_derived(s: str) -> str:
 
 
 _EXTRACT_COLUMNS = ("mime", "digest", "url", "payload")
+_HTML = ScanPredicate.isin("mime", ("text/html",))  # a stored mime is in extract_text's normal form
 
 
 def scan_extract(
     backend: str, paths: DatasetPaths, extractor: str, out_path
 ) -> tuple[str, Measurement]:
-    """Derive (digest, extracted text or links) for every HTML record.
+    """Derive (digest, extracted text or links) for every text/html record.
 
     Output lines are sorted so the derived file is byte-identical across
     backends regardless of their storage order.
@@ -255,10 +256,8 @@ def scan_extract(
     lines = []
     # warc_cdx fetches each record with a read of its own here, as acceptance
     # criterion 6 assumes; coalesced fetches wait on that criterion (ROADMAP item 6)
-    rows = _scan(backend, paths, _EXTRACT_COLUMNS, None, tracker, bytes_view=True, coalesce=False)
+    rows = _scan(backend, paths, _EXTRACT_COLUMNS, _HTML, tracker, bytes_view=True, coalesce=False)
     for mime, digest, url, payload in rows:
-        if mime.split(";")[0].strip().lower() != "text/html":
-            continue
         if extractor == "links":
             derived = " ".join(extract_links(payload, url))
         else:

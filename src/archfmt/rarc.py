@@ -154,21 +154,22 @@ def write_rarc(
 
 
 def read_header(fh, file) -> tuple[CarcSchema, str, bytes, int]:
-    """Returns (schema, codec, sync marker, header length)."""
+    """Returns (schema, codec, sync marker, header length); BadMagic at
+    file@offset if the header is not one this reader reads."""
     head = fh.read(_HEADER.size)
     if len(head) < _HEADER.size or head[:4] != MAGIC:
-        raise BadMagic(f"{file}: not an RARC file")
+        raise BadMagic(f"{file}@0: not an RARC file")
     _, version, codec_id, schema_len = _HEADER.unpack(head)
     if version != VERSION or codec_id not in _CODEC_NAME or schema_len > _MAX_SCHEMA:
-        raise BadMagic(f"{file}: RARC version {version}, codec {codec_id}, schema {schema_len} B")
+        raise BadMagic(f"{file}@4: RARC version {version}, codec {codec_id}, schema {schema_len} B")
     text = fh.read(schema_len)
     sync = fh.read(SYNC_LEN)
     if len(sync) < SYNC_LEN:
-        raise BadMagic(f"{file}: truncated RARC header")
+        raise BadMagic(f"{file}@{_HEADER.size + len(text) + len(sync)}: truncated RARC header")
     try:
         schema = CarcSchema.from_text(text.decode("utf-8"))
-    except UnicodeDecodeError:
-        raise BadMagic(f"{file}: RARC schema is not UTF-8") from None
+    except (UnicodeDecodeError, SchemaMismatch) as exc:
+        raise BadMagic(f"{file}@{_HEADER.size}: RARC schema: {exc}") from None
     return schema, _CODEC_NAME[codec_id], sync, _HEADER.size + schema_len + SYNC_LEN
 
 

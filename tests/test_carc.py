@@ -329,6 +329,9 @@ def test_bad_magic_and_corrupt_footer(tmp_path):
     bad.write_bytes(bytes(data[:-4]) + b"JUNK")  # trailer magic is what readers check
     with pytest.raises(BadMagic):
         read_footer(bad)
+    bad.write_bytes(b"CARC")
+    with pytest.raises(BadMagic, match=re.escape(f"{bad}@0: too small")):
+        read_footer(bad)
     corrupt = bytearray(data)
     corrupt[-20] ^= 0xFF  # inside the footer CRC region
     cpath = tmp_path / "corrupt.carc"

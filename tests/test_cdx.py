@@ -91,8 +91,10 @@ def test_timestamp14_roundtrip_property():
         s = timestamp14_of(t)
         assert len(s) == 14 and s.isdigit()
         assert parse_timestamp14(s) == t
-    # sub-second truncation toward zero
+    # sub-second instants floor to their second, before 1970 too
     assert timestamp14_of(1500) == timestamp14_of(1000)
+    assert timestamp14_of(-1) == "19691231235959"
+    assert timestamp14_of(-1500) == "19691231235958"
 
 
 def test_timestamp14_rejects_bad_input():

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -284,7 +285,7 @@ def test_inspect_bad_input_is_data_error(cli_dataset, tmp_path, capsys, fmt):
     capsys.readouterr()
     code, out, err = run(capsys, "inspect", str(path))
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {path}")
+    assert re.match(rf"error: {re.escape(str(path))}@\d+: ", err), err
     assert fmt not in old or f"CARC version {fmt[1:]};" in err
 
 

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from archfmt import carc as carc_mod
 from archfmt import cdx
 from archfmt.bench import selectivity_ranges, selectivity_url_lists
-from archfmt.convert import convert
+from archfmt.convert import convert, to_canonical
 from archfmt.errors import ArchfmtError, BackendUnavailable, BadDate, BadOffset, NotAbsoluteUrl, SchemaMismatch
 from archfmt.query import (
     BACKENDS,
@@ -15,6 +16,7 @@ from archfmt.query import (
     extract_links,
     extract_text,
     run_query,
+    _HTML,
     scan_extract,
 )
 from archfmt.warc import make_record, write_warc
@@ -304,12 +306,89 @@ def test_scan_extract_images_only(tmp_path):
 
 
 def test_scan_extract_seek_counts(tmp_path):
-    paths = make_dataset(tmp_path, synth_records(8, seed=42))
+    records = synth_records(8, seed=42) + mixed_records()
+    paths = make_dataset(tmp_path, records)
+    n_html = sum(_is_html(to_canonical(r).mime) for r in records)
     _, m_cdx = scan_extract("warc_cdx", paths, "links", tmp_path / "a.tsv")
-    assert m_cdx.seek_count >= 8  # one positioned read per record (+ CDX pass)
-    assert m_cdx.seek_count <= 8 + 2
+    assert m_cdx.seek_count == n_html + 1  # a positioned read per HTML record, and the CDX pass
     _, m_warc = scan_extract("warc", paths, "links", tmp_path / "b.tsv")
     assert m_warc.seek_count == len(paths.warc_files)
+
+
+def _response(i, content_type, block):
+    return make_record(f"<urn:uuid:00000000-0000-4000-a000-{i:012d}>", "response", f"http://mix.example/{i}",
+                       f"2019-03-0{1 + i % 9}T10:00:{i % 60:02d}Z", content_type, block)
+
+
+def _http(i, head, body):
+    return _response(i, "application/http; msgtype=response", b"HTTP/1.1 200 OK\r\n" + head + b"\r\n" + body)
+
+
+def mixed_records():
+    """HTML, binary, an upper-case HTTP Content-Type with a parameter, an HTTP
+    block with no Content-Type, and a non-HTTP response whose WARC
+    Content-Type names HTML in mixed case."""
+    html = b'<html><body><p>page</p><a href="/next">n</a></body></html>'
+    return [
+        _http(0, b"Content-Type: text/html\r\n", html),
+        _http(1, b"Content-Type: application/octet-stream\r\n", bytes(range(256))),
+        _http(2, b"Content-Type: TEXT/HTML; charset=x\r\n", html.replace(b"page", b"upper")),
+        _http(3, b"Server: x\r\n", html.replace(b"page", b"untyped")),
+        _response(4, "Text/HTML; charset=utf-8", html.replace(b"page", b"bare")),
+        _http(5, b"Content-Type: image/png\r\n", b"\x89PNG" * 50),
+        _http(6, b"Content-Type: text/html\r\n", html.replace(b"/next", b"/other")),
+    ]
+
+
+def _is_html(mime):  # extract_text's HTML test, which the pushed term must equal
+    return mime.split(";")[0].strip().lower() == "text/html"
+
+
+@pytest.mark.parametrize("extractor", ["text", "links"])
+def test_scan_extract_equals_brute_force_filter(tmp_path, extractor):
+    records = mixed_records()
+    paths = make_dataset(tmp_path, records)
+    rows = [to_canonical(r) for r in records]
+    for row in rows:  # the pushed term selects what extract_text's test does
+        assert _HTML.matches(row.mime) == _is_html(row.mime), row.mime
+    expected = []
+    for row in rows:
+        if _is_html(row.mime):
+            derived = " ".join(extract_links(row.payload, row.url)) if extractor == "links" else \
+                extract_text(row.payload, row.mime)
+            expected.append(f"{row.digest}\t{derived}\n")
+    assert len(expected) == 4
+    for backend in BACKENDS:
+        out = tmp_path / f"{backend}.tsv"
+        scan_extract(backend, paths, extractor, out)
+        assert out.read_text(encoding="utf-8") == "".join(sorted(expected)), backend
+
+
+def test_stored_mime_is_in_normal_form(tmp_path):
+    paths = make_dataset(tmp_path, mixed_records())
+    spec = QuerySpec(kind="meta", projection=("url", "mime"))
+    for backend in BACKENDS:
+        mimes = dict(run_query(spec, backend, paths).rows)
+        assert all(m == m.split(";")[0].strip().lower() for m in mimes.values()), (backend, mimes)
+        assert mimes["http://mix.example/4"] == mimes["http://mix.example/2"] == "text/html"
+        assert mimes["http://mix.example/3"] == "application/http"
+
+
+def test_scan_extract_skips_clustered_non_html_payloads(tmp_path):
+    """30 binary records of 100 KB, then 10 HTML ones: carc inflates only the
+    payload pages holding HTML rows, and warc_cdx fetches only those records."""
+    rng = random.Random(5)
+    records = [_http(i, b"Content-Type: application/octet-stream\r\n", rng.randbytes(100_000)) for i in range(30)]
+    records += [_http(i, b"Content-Type: text/html\r\n", b"<p>" + rng.randbytes(10_000).hex().encode() + b"</p>")
+                for i in range(30, 40)]
+    paths = make_dataset(tmp_path, records)
+    footer = carc_mod.read_footer(paths.carc)
+    [group] = footer.row_groups
+    payload_bytes = group.chunks[footer.schema.index_of("payload")].chunk_compressed_len
+    for backend in ("carc", "warc_cdx"):
+        _, m = scan_extract(backend, paths, "links", tmp_path / f"{backend}.tsv")
+        assert m.records_out == 10
+        assert m.bytes_read < payload_bytes, (backend, m.bytes_read, payload_bytes)
 
 
 def test_url_list_selectivity_helper(corpus):
