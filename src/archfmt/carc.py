@@ -1,4 +1,4 @@
-"""Columnar archival container.
+"""Columnar archival container, format version 4.
 
 Layout (little-endian): magic "CARC", then row groups, then footer, u32
 CRC32 of the footer, u64 footer length, magic "CARC".  Readers locate the
@@ -7,8 +7,13 @@ footer from the trailer.
 A row group holds one chunk per column, and a chunk is a run of pages
 stored back to back; the chunks lie in group order, then column order.
 A page closes at PAGE_ROWS rows, or at the value that brings its encoded
-values to PAGE_BYTES; it is a presence bitmap then the values, compressed
-alone.  The footer keeps per chunk its null count and per page its row
+values to PAGE_BYTES (256 KiB), and is compressed alone.  A page is a
+presence bitmap, then its present values: INT64 as i64 each; STRING and
+BYTES as one u32 array of their lengths, then the values back to back (as
+Arrow's variable-size binary and Parquet's DELTA_LENGTH_BYTE_ARRAY keep the
+lengths apart), so a reader frames a page with one unpack and finds a
+value without walking the ones before it.  The lengths must frame the page
+exactly.  The footer keeps per chunk its null count and per page its row
 count, lengths and min/max statistics (INT64 and STRING only): the page
 index.  It stores nothing that can be derived: a chunk's offset, lengths
 and min/max, a group's row count and the file's are derived from the page
@@ -17,7 +22,8 @@ interval cannot intersect its predicate, reads only the chunks it
 projects, decodes only the predicate column's pages whose stats can match,
 and inflates of each other projected chunk only the pages that hold the
 matching rows.  The footer also holds the format version; a file of
-another version is rejected.
+another version (1 to 3 had other page or footer layouts) is BadMagic
+naming its version.
 """
 
 from __future__ import annotations
@@ -42,11 +48,11 @@ from .errors import (
 from .iostats import IoTracker
 
 MAGIC = b"CARC"
-VERSION = 3
+VERSION = 4
 TRAILER_LEN = 16  # crc u32 + footer_len u64 + magic
 STAT_TRUNCATE = 64  # bytes kept of STRING min/max
 PAGE_ROWS = 1024  # a page closes at this many rows,
-PAGE_BYTES = 1 << 20  # or once its encoded values reach this many bytes
+PAGE_BYTES = 256 << 10  # or once its encoded values reach this many bytes
 _LEN_STRUCT = struct.Struct("<I")
 _CHUNK_STRUCT = struct.Struct("<QI")  # a chunk's null count and page count
 _PAGE_STRUCT = struct.Struct("<IQQ")  # a page's row count, compressed and uncompressed length
@@ -177,7 +183,7 @@ def _check_value(value, col: Column):
 
 
 def _encode_chunk(values: Sequence, col: Column) -> tuple[bytes, int, Optional[object], Optional[object]]:
-    """Returns (raw chunk bytes, null_count, min, max)."""
+    """Returns (raw page bytes, null_count, min, max)."""
     n = len(values)
     bitmap = bytearray((n + 7) // 8)
     present = []
@@ -188,7 +194,7 @@ def _encode_chunk(values: Sequence, col: Column) -> tuple[bytes, int, Optional[o
     null_count = n - len(present)
 
     if col.ctype == "INT64":
-        body = struct.pack(f"<{len(present)}q", *present)
+        body = [struct.pack(f"<{len(present)}q", *present)]
         lo = min(present) if present else None
         hi = max(present) if present else None
     else:
@@ -196,17 +202,13 @@ def _encode_chunk(values: Sequence, col: Column) -> tuple[bytes, int, Optional[o
             encoded = [v.encode("utf-8") for v in present]
         else:
             encoded = present
-        parts = []
-        for b in encoded:
-            parts.append(struct.pack("<I", len(b)))
-            parts.append(b)
-        body = b"".join(parts)
+        body = [struct.pack(f"<{len(encoded)}I", *map(len, encoded)), *encoded]
         if col.ctype == "BYTES" or not encoded:
             lo = hi = None
         else:
             lo = _truncate_min(min(encoded))
             hi = _truncate_max(max(encoded))
-    return bytes(bitmap) + body, null_count, lo, hi
+    return b"".join([bitmap, *body]), null_count, lo, hi
 
 
 def _pages(values: Sequence, col: Column) -> Iterator[Sequence]:
@@ -265,12 +267,13 @@ def _truncate_max(b: bytes) -> Optional[bytes]:
 def _decode_chunk(
     raw: bytes, col: Column, row_count: int, bytes_view: bool = False, rows: Optional[Sequence[int]] = None
 ) -> list:
-    """The values of one raw chunk at the ascending row indices rows (every
+    """The values of one raw page at the ascending row indices rows (every
     row when None): None where the bitmap marks a null.
 
-    The bitmap, every value length and the chunk's end are checked whatever
-    rows holds, but only the values returned are built, so a STRING value is
-    checked to be UTF-8 only when it is returned.
+    The bitmap, the lengths array and the page's end are checked whatever
+    rows holds: the lengths must frame the page exactly.  Only the values
+    returned are built, so a STRING value is checked to be UTF-8 only when
+    it is returned.
     """
     bitmap_len = (row_count + 7) // 8
     bits = int.from_bytes(raw[:bitmap_len], "little")
@@ -283,18 +286,14 @@ def _decode_chunk(
         ints = struct.unpack_from(f"<{present}q", raw, bitmap_len)
         pos = bitmap_len + 8 * present
     else:
-        unpack_len = _LEN_STRUCT.unpack_from
+        lengths = struct.unpack_from(f"<{present}I", raw, bitmap_len)
+        bounds = list(accumulate(lengths, initial=bitmap_len + 4 * present))  # where each value starts, then the end
+        pos = bounds[-1]
         # slice through a memoryview: avoids materializing intermediate copies
-        # of the (potentially large) chunk body
+        # of the (potentially large) page body
         view = memoryview(raw)
-        bounds = [bitmap_len]  # where each value's length field starts, then the end of the last value
-        pos = bitmap_len
-        for _ in range(present):
-            (n,) = unpack_len(view, pos)
-            pos += 4 + n
-            bounds.append(pos)
     if pos != len(raw):
-        raise DecompressFailure(f"chunk holds {len(raw) - pos} bytes past its values")
+        raise DecompressFailure(f"the page's values end at byte {pos}, not at its end {len(raw)}")
     if present == row_count:
         at = range(present) if rows is None else rows  # the index among the present values of each row
     else:
@@ -309,9 +308,9 @@ def _decode_chunk(
     if col.ctype == "INT64":
         return [None if k is None else ints[k] for k in at]
     if col.ctype == "STRING":
-        return [None if k is None else str(view[bounds[k] + 4 : bounds[k + 1]], "utf-8") for k in at]
+        return [None if k is None else str(view[bounds[k] : bounds[k + 1]], "utf-8") for k in at]
     cut = view if bytes_view else raw  # a slice of the bytes raw is a copy
-    return [None if k is None else cut[bounds[k] + 4 : bounds[k + 1]] for k in at]
+    return [None if k is None else cut[bounds[k] : bounds[k + 1]] for k in at]
 
 
 # --- footer serialization ----------------------------------------------------
@@ -718,10 +717,13 @@ def read_carc(
 # --- inspect ------------------------------------------------------------------
 
 def describe(file) -> dict:
-    """The footer of a CARC file as JSON-ready data: the schema, and per row
-    group its chunks with their page index.  A STRING min/max is shown as
-    text, a byte that is not UTF-8 escaped."""
+    """The footer of a CARC file as JSON-ready data: its length in bytes and
+    its page count, the schema, and per row group its chunks with their page
+    index.  A STRING min/max is shown as text, a byte that is not UTF-8
+    escaped."""
     footer = read_footer(file)
+    chunks = [c for g in footer.row_groups for c in g.chunks]
+    data_end = len(MAGIC) + sum(c.chunk_compressed_len for c in chunks)  # where the footer starts
 
     def stat(v):
         return v.decode("utf-8", "backslashreplace") if isinstance(v, bytes) else v
@@ -735,6 +737,8 @@ def describe(file) -> dict:
         "codec": footer.codec,
         "sort_key": footer.sort_key,
         "total_rows": footer.total_rows,
+        "footer_len": Path(file).stat().st_size - TRAILER_LEN - data_end,
+        "page_count": sum(len(c.pages) for c in chunks),
         "schema": footer.schema.to_text().splitlines(),
         "row_groups": [
             {

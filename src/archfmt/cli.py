@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import bench, carc, cdx, query, rarc
 from .convert import MAX_MS, MIN_MS, SORT_KEYS, canonicalize_url, convert as _convert, parse_warc_date
-from .errors import ArchfmtError, BadMagic, IoFailure
+from .errors import ArchfmtError, BadMagic, IoFailure, LocatedError, NotAbsoluteUrl
 from .query import DatasetPaths, QuerySpec
 
 
@@ -129,10 +130,26 @@ def _query_spec(args) -> QuerySpec:
         hi = _parse_instant(args.time_to, end=True) if args.time_to else MAX_MS
         return QuerySpec(args.kind, time_range=(lo, hi), projection=projection)
     if args.url_file:
-        with open(args.url_file, encoding="utf-8") as fh:
-            keys = tuple(canonicalize_url(line.strip()) for line in fh if line.strip())
-        return QuerySpec(args.kind, urlkeys=keys, projection=projection)
+        return QuerySpec(args.kind, urlkeys=_url_keys(args.url_file), projection=projection)
     return QuerySpec(args.kind, projection=projection)
+
+
+def _url_keys(path: str) -> tuple[str, ...]:
+    """The urlkeys of a file of one URL per line.  Bytes that are not UTF-8
+    are named at file@offset, a URL that is not absolute at file:line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LocatedError(path, exc.start, f"URL file is not UTF-8: {exc.reason}") from None
+    keys = []
+    for line_no, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                keys.append(canonicalize_url(line.strip()))
+            except NotAbsoluteUrl as exc:
+                raise NotAbsoluteUrl(f"{path}:{line_no}: {exc}") from None
+    return tuple(keys)
 
 
 def _cmd_gen(args) -> int:

@@ -155,10 +155,13 @@ def _header_fields(record: warc.WarcRecord) -> tuple[str, str, int, str]:
     return canonicalize_url(url) if url else "", url, parse_warc_date(record.warc_date_raw), record.record_type
 
 
-def to_canonical(record: warc.WarcRecord, head: Optional[tuple[str, str, int, str]] = None) -> CanonicalRecord:
+def to_canonical(
+    record: warc.WarcRecord, head: Optional[tuple[str, str, int, str]] = None, digest: bool = True
+) -> CanonicalRecord:
     """Flatten one WARC record: the one derivation of every canonical column
     (the CDX entry of a record is a projection of this row).  head is the
-    record's _header_fields when they are already derived."""
+    record's _header_fields when they are already derived.  With
+    digest=False the digest, the dearest column, is left None."""
     urlkey, url, timestamp_ms, record_type = head or _header_fields(record)
     status, mime, headers, payload = http_fields(record.content_type, record.block)
     return CanonicalRecord(
@@ -168,7 +171,7 @@ def to_canonical(record: warc.WarcRecord, head: Optional[tuple[str, str, int, st
         record_type=record_type,
         mime=mime,
         status=status,
-        digest=payload_digest(payload),
+        digest=payload_digest(payload) if digest else None,
         content_length=len(payload),
         http_headers=headers,
         payload=payload,
@@ -188,11 +191,15 @@ def response_rows(
     the HTTP split and the payload digest, is derived by to_canonical for
     every record when pred names a column the WARC headers do not give (such
     as mime), else for the records pred matches when columns (every column
-    when None) names one; otherwise those fields of the row hold None.  A BadDate or NotAbsoluteUrl from the
+    when None) names one; otherwise those fields of the row hold None.  Only
+    a digest pred is tested after the digest, so a mime pred spares the
+    SHA-1 of the records it rejects.  A BadDate or NotAbsoluteUrl from the
     derivation is raised again as the same class, prefixed with the
     record's file@offset."""
     early = pred is not None and pred.column in _HEADER_COLUMNS  # tested before the HTTP split
-    full = columns is None or not set(columns) <= set(_HEADER_COLUMNS) or (pred is not None and not early)
+    late = pred is not None and not early  # tested after it
+    full = columns is None or not set(columns) <= set(_HEADER_COLUMNS) or late
+    hashed = not late or pred.column == "digest"  # else the digest waits for the test
     key = None if pred is None else COL[pred.column]
     for record, loc in pairs:
         if record.record_type != "response":
@@ -201,11 +208,11 @@ def response_rows(
             head = _header_fields(record)
             if early and not pred.matches(head[key]):
                 continue
-            row = to_canonical(record, head) if full else CanonicalRecord(*head, *_NO_HTTP_FIELDS)
+            row = to_canonical(record, head, hashed) if full else CanonicalRecord(*head, *_NO_HTTP_FIELDS)
         except (BadDate, NotAbsoluteUrl) as exc:
             raise type(exc)(f"{loc.file}@{loc.offset}: {exc}") from None
         if early or pred is None or pred.matches(row[key]):
-            yield row, loc, record
+            yield (row if hashed else row._replace(digest=payload_digest(row.payload))), loc, record
 
 
 def _external_sort(rows: Iterator[tuple], key_idx: int, schema: CarcSchema, tmp_dir) -> Iterator[tuple]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -551,10 +552,21 @@ V2_FILE = bytes.fromhex(
     "010000000000000001020000000000000003080000000200000000000000040000000005"
     "0100000000060200000002007a3ebffe060100000000000043415243"
 )
-OLD_VERSIONS = [(1, V1_FILE), (2, V2_FILE)]
+# The same rows as the version-3 writer wrote them: each STRING page holds a
+# length before each of its values.
+V3_FILE = bytes.fromhex(
+    "43415243030300000061292f0300000062292f0301000000000000000200000000000000"
+    "011d00000075726c6b657920535452494e470a74696d657374616d7020494e5436340266"
+    "00000001000000000000000000000001000000020000000f000000000000000f00000000"
+    "000000020300000061292f020300000062292f0000000000000000010000000200000011"
+    "000000000000001100000000000000010100000000000000010200000000000000040000"
+    "00000501000000000602000000030048e010339f0000000000000043415243"
+)
+OLD_VERSIONS = [(1, V1_FILE), (2, V2_FILE), (3, V3_FILE)]
+OLD_IDS = [f"v{version}" for version, _ in OLD_VERSIONS]
 
 
-@pytest.mark.parametrize("version, data", OLD_VERSIONS, ids=["v1", "v2"])
+@pytest.mark.parametrize("version, data", OLD_VERSIONS, ids=OLD_IDS)
 def test_older_version_file_is_bad_magic_naming_its_version(tmp_path, version, data):
     path = tmp_path / "old.carc"
     path.write_bytes(data)
@@ -743,3 +755,80 @@ def test_columns_of_a_group_must_hold_the_same_rows(tmp_path):
     write_hostile_footer(path, "page_row_count", lambda n: n + 1, column=SCHEMA.index_of("note"))
     with pytest.raises(FooterCorrupt, match=re.escape(f"{path}@") + ".*columns of row group 0 hold"):
         list(read_carc(path))
+
+
+def first_page(path, column):
+    """(offset, raw bytes) of the first page of column in row group 0 of a
+    file written with codec none."""
+    c = read_footer(path).row_groups[0].chunks[SCHEMA.index_of(column)]
+    data = path.read_bytes()
+    return c.chunk_offset, data[c.chunk_offset : c.chunk_offset + c.pages[0].compressed_len]
+
+
+def patch_length(i, forge):
+    """A page fault: the length of present value i forged."""
+    def patch(page):
+        at = 1 + 4 * i  # after the one-byte bitmap of the test pages
+        (n,) = struct.unpack_from("<I", page, at)
+        struct.pack_into("<I", page, at, forge(n))
+    return patch
+
+
+def fill_bitmap(page):
+    page[0] = 0x3F  # all six rows present
+
+
+# (column, page fault).  The payload page of the six rows holds values of
+# 0 to 5 bytes; the note page holds nulls only, so it is its bitmap alone.
+PAGE_FAULTS = [
+    ("payload", patch_length(5, lambda n: n + 1)),  # the lengths sum one byte past the page end
+    ("payload", patch_length(0, lambda n: 2**32 - 1)),  # ... 4 GiB past it, which sizes nothing
+    ("payload", patch_length(5, lambda n: n - 1)),  # a byte is left after the last value
+    ("note", fill_bitmap),  # six present values need 24 length bytes; the page holds none
+]
+PAGE_FAULT_IDS = ["sum_past_end", "sum_4gib_past_end", "byte_after_values", "bitmap_needs_lengths"]
+
+
+@pytest.mark.parametrize("column, fault", PAGE_FAULTS, ids=PAGE_FAULT_IDS)
+def test_page_that_its_lengths_do_not_frame_is_located_decompress_failure(tmp_path, column, fault):
+    rows = [(f"com,a)/{i}", i, None, b"v" * i) for i in range(6)]
+    path = tmp_path / "pf.carc"
+    write_carc(rows, SCHEMA, path, codec="none")
+    assert list(read_carc(path)) == rows
+    offset, page = first_page(path, column)
+    forged = bytearray(page)
+    fault(forged)
+    data = path.read_bytes()
+    path.write_bytes(data[:offset] + forged + data[offset + len(page) :])
+    for proj in (None, (column,)):
+        with pytest.raises(DecompressFailure, match=re.escape(f"{path}@{offset}: ")):
+            list(read_carc(path, projection=proj))
+    assert list(read_carc(path, projection=("timestamp",))) == [(r[1],) for r in rows]
+
+
+# Rows with nulls, non-ASCII STRINGs and empty BYTES, and the SHA-256 of the
+# file they make at default options and with codec none.  A change of the
+# layout changes these hashes: it must bump VERSION and add the old layout to
+# OLD_VERSIONS.  The default file is deflated, so its hash also pins zlib's
+# output; it is asserted under the zlib it was taken with.
+GOLDEN_ROWS = [
+    ("com,example)/", 1_500_000_000_000, "note", b"\x00\xff"),
+    ("com,example)/caf\u00e9", -1, None, b""),
+    ("org,\u4f8b)/\u30da\u30fc\u30b8", 2**63 - 1, "\u00fcber \U0001f600", b""),
+    ("org,zz)/", -(2**63), None, b"payload " * 40),
+]
+GOLDEN_SHA256 = {
+    "none": "3aadbbeef72525990933c9f75e5db421cff5bcd486d0a8e8e5b305ab54a61335",
+    "default": "0243b35146fbed2c86e9d509d91d6f9490afe0d39558991d3dccb020bccba030",
+}
+GOLDEN_ZLIB = "1.2.13"
+
+
+@pytest.mark.parametrize("opts", ["default", "none"])
+def test_golden_bytes(tmp_path, opts):
+    path = tmp_path / "golden.carc"
+    write_carc(GOLDEN_ROWS, SCHEMA, path, **({"codec": "none"} if opts == "none" else {}))
+    assert list(read_carc(path)) == GOLDEN_ROWS
+    if opts == "default" and zlib.ZLIB_RUNTIME_VERSION != GOLDEN_ZLIB:
+        return
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[opts]

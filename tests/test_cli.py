@@ -12,7 +12,7 @@ from archfmt.bench import SyntheticSpec, generate_corpus
 from archfmt.cli import _COMMANDS, _build_parser, main
 from archfmt.convert import convert
 from archfmt.query import DatasetPaths
-from test_carc import HOSTILE_FOOTERS, HOSTILE_IDS, OLD_VERSIONS, SCHEMA, make_rows, write_hostile_footer
+from test_carc import HOSTILE_FOOTERS, HOSTILE_IDS, OLD_IDS, OLD_VERSIONS, SCHEMA, make_rows, write_hostile_footer
 from test_query import forged_index
 
 
@@ -239,7 +239,10 @@ def test_inspect_carc_prints_footer_and_page_index(cli_dataset, capsys):
     assert code == 0 and err == ""
     shown = json.loads(out)
     footer = read_footer(cli_dataset["carc"])
-    assert (shown["format"], shown["version"], shown["total_rows"]) == ("CARC", 3, 40)
+    assert (shown["format"], shown["version"], shown["total_rows"]) == ("CARC", 4, 40)
+    data = Path(cli_dataset["carc"]).read_bytes()
+    assert shown["footer_len"] == int.from_bytes(data[-12:-4], "little")  # the trailer's
+    assert shown["page_count"] == sum(len(c.pages) for g in footer.row_groups for c in g.chunks)
     assert shown["schema"] == footer.schema.to_text().splitlines()
     for g, group in zip(footer.row_groups, shown["row_groups"], strict=True):
         assert group["row_count"] == g.row_count
@@ -271,7 +274,7 @@ def test_inspect_rarc_prints_block_layout(tmp_path, capsys):
     assert [b["raw_len"] for b in blocks] == [len(encode_rows(rows[i : i + 16], SCHEMA)) for i in range(0, 50, 16)]
 
 
-@pytest.mark.parametrize("fmt", ["carc", "rarc", "v1", "v2", "other"])
+@pytest.mark.parametrize("fmt", ["carc", "rarc", *OLD_IDS, "other"])
 def test_inspect_bad_input_is_data_error(cli_dataset, tmp_path, capsys, fmt):
     path = tmp_path / "bad.bin"
     old = {f"v{version}": data for version, data in OLD_VERSIONS}
@@ -289,7 +292,7 @@ def test_inspect_bad_input_is_data_error(cli_dataset, tmp_path, capsys, fmt):
     assert fmt not in old or f"CARC version {fmt[1:]};" in err
 
 
-@pytest.mark.parametrize("version, data", OLD_VERSIONS, ids=["v1", "v2"])
+@pytest.mark.parametrize("version, data", OLD_VERSIONS, ids=OLD_IDS)
 def test_query_on_older_version_carc_is_data_error(tmp_path, capsys, version, data):
     path = tmp_path / "old.carc"
     path.write_bytes(data)
@@ -297,6 +300,20 @@ def test_query_on_older_version_carc_is_data_error(tmp_path, capsys, version, da
     code, out, err = run(capsys, "query", "count", "--backend", "carc", "--data", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}@") and f"CARC version {version};" in err
+
+
+@pytest.mark.parametrize("text, where", [
+    (b"http://a.example/\nhttp://b.example/caf\xe9\n", "@38: URL file is not UTF-8"),  # 18 + 20 bytes before the \xe9
+    (b"http://a.example/\n\n  a.example/b  \r\n", ":3: 'a.example/b'"),
+], ids=["not_utf8", "not_absolute"])
+def test_bad_url_file_is_located_data_error(cli_dataset, tmp_path, capsys, text, where):
+    urls = tmp_path / "urls.txt"
+    urls.write_bytes(text)
+    capsys.readouterr()
+    code, out, err = run(capsys, "query", "meta", "--backend", "carc", "--data", cli_dataset["carc"],
+                         "--url-file", str(urls))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {urls}{where}"), err
 
 
 def test_unexpected_error_exits_2(cli_dataset, capsys, monkeypatch):

@@ -19,7 +19,7 @@ from archfmt.query import (
     _HTML,
     scan_extract,
 )
-from archfmt.warc import make_record, write_warc
+from archfmt.warc import make_record, scan_warc, write_warc
 
 from conftest import synth_records
 
@@ -102,7 +102,7 @@ def test_warc_splits_and_digests_only_the_matching_rows_that_need_it(corpus, mon
 
     calls = []
     real = convert_mod.to_canonical
-    monkeypatch.setattr(convert_mod, "to_canonical", lambda record, head=None: calls.append(1) or real(record, head))
+    monkeypatch.setattr(convert_mod, "to_canonical", lambda *args, **kw: calls.append(1) or real(*args, **kw))
     paths = corpus["paths"]
     stamps = sorted(e.timestamp for e in cdx.parse_cdx(paths.cdx))
     assert run_query(QuerySpec(kind="count"), "warc", paths).rows == [len(stamps)]
@@ -111,6 +111,24 @@ def test_warc_splits_and_digests_only_the_matching_rows_that_need_it(corpus, mon
         r = run_query(QuerySpec(kind=kind, time_range=(stamps[10], stamps[20])), "warc", paths)
         assert r.measurement.records_out == 11
     assert len(calls) == 22  # meta hashes the digest, records every column
+
+
+def test_a_mime_term_hashes_only_the_records_it_matches(corpus, monkeypatch):
+    import archfmt.convert as convert_mod
+
+    pairs = [pair for f in corpus["paths"].warc_files for pair in scan_warc(f)]
+    every = [row for row, _, _ in convert_mod.response_rows(pairs)]
+    html = _HTML  # scan_extract's term
+    hashed = []
+    real = convert_mod.payload_digest
+    monkeypatch.setattr(convert_mod, "payload_digest", lambda payload: hashed.append(1) or real(payload))
+    got = [row for row, _, _ in convert_mod.response_rows(pairs, html)]
+    assert got == [row for row in every if html.matches(row.mime)]
+    assert 0 < len(hashed) == len(got) < len(every)
+    hashed.clear()
+    digest = carc_mod.ScanPredicate.isin("digest", [every[3].digest])  # a digest term is tested after the digest
+    assert [row for row, _, _ in convert_mod.response_rows(pairs, digest)] == [every[3]]
+    assert len(hashed) == len(every)
 
 
 def test_type1_payload_avoidance(corpus):
