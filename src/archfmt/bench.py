@@ -422,14 +422,38 @@ def _svg_chart(task: str, series: dict[str, list[tuple[float, float]]]) -> str:
     return "\n".join(parts)
 
 
+def _report_row(csv_path, line: int, row: list[str]) -> dict:
+    """A bench CSV row by column, with the numbers the report reads parsed;
+    BadCsv at csv:line unless it has every column, finite numbers, a byte
+    count of at most 63 bits and a selectivity above 0, as the chart's log
+    scale needs."""
+    if len(row) != len(CSV_HEADER):
+        raise BadCsv(f"{csv_path}:{line}: {len(row)} fields, not {len(CSV_HEADER)}")
+    r = dict(zip(CSV_HEADER, row))
+    floats = ("selectivity", "wall_ms", "modeled_ms")
+    try:
+        r.update({name: float(r[name]) for name in floats}, dataset_bytes=int(r["dataset_bytes"]))
+    except ValueError as exc:
+        raise BadCsv(f"{csv_path}:{line}: {exc}") from None
+    if not (all(math.isfinite(r[name]) for name in floats) and r["selectivity"] > 0
+            and 0 <= r["dataset_bytes"] < 1 << 63):
+        raise BadCsv(f"{csv_path}:{line}: selectivity {r['selectivity']}, wall_ms {r['wall_ms']}, "
+                     f"modeled_ms {r['modeled_ms']} or dataset_bytes {r['dataset_bytes']} out of range")
+    return r
+
+
 def emit_report(csv_path, out_dir) -> list[str]:
     """One SVG chart per task, a size table, and a crossover summary."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        data = list(reader)
-    if not data or reader.fieldnames != CSV_HEADER:
+    try:
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            rows = reader if next(reader, None) == CSV_HEADER else ()
+            data = [_report_row(csv_path, reader.line_num, row) for row in rows if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise BadCsv(f"{csv_path}: not a CSV of UTF-8 text: {exc}") from None
+    if not data:
         raise BadCsv(f"{csv_path}: empty or wrong header")
 
     outputs = []
@@ -437,9 +461,7 @@ def emit_report(csv_path, out_dir) -> list[str]:
     for task in tasks:
         series: dict[str, dict[float, list[float]]] = {}
         for r in (r for r in data if r["task"] == task):
-            series.setdefault(r["backend"], {}).setdefault(float(r["selectivity"]), []).append(
-                float(r["wall_ms"])
-            )
+            series.setdefault(r["backend"], {}).setdefault(r["selectivity"], []).append(r["wall_ms"])
         med = {
             b: [(s, statistics.median(v)) for s, v in sorted(pts.items())]
             for b, pts in series.items()
@@ -451,7 +473,7 @@ def emit_report(csv_path, out_dir) -> list[str]:
     # size table
     sizes = {}
     for r in data:
-        sizes.setdefault(r["backend"], int(r["dataset_bytes"]))
+        sizes.setdefault(r["backend"], r["dataset_bytes"])
     lines = ["format\tbytes\tratio_vs_warc\treference_full_scale_ratio"]
     warc_size = sizes.get("warc")
     for backend in query.BACKENDS:
@@ -469,10 +491,8 @@ def emit_report(csv_path, out_dir) -> list[str]:
     for task in tasks:
         cells: dict[str, dict[float, float]] = {}
         for r in (r for r in data if r["task"] == task):
-            cells.setdefault(r["backend"], {}).setdefault(float(r["selectivity"]), 0.0)
-            cells[r["backend"]][float(r["selectivity"])] = max(
-                cells[r["backend"]][float(r["selectivity"])], float(r["modeled_ms"])
-            )
+            cell = cells.setdefault(r["backend"], {})
+            cell[r["selectivity"]] = max(cell.get(r["selectivity"], 0.0), r["modeled_ms"])
         if "warc" in cells and "warc_cdx" in cells:
             common = sorted(set(cells["warc"]) & set(cells["warc_cdx"]))
             crossed = [s for s in common if cells["warc_cdx"][s] > cells["warc"][s]]

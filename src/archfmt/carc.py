@@ -372,6 +372,8 @@ def _unpack_scalar(raw: bytes, pos: int):
         return None, pos
     if kind == 1:
         return struct.unpack_from("<q", raw, pos)[0], pos + 8
+    if kind != 2:
+        raise FooterCorrupt(f"page min/max of kind {kind}, not 0, 1 or 2")
     (n,) = struct.unpack_from("<I", raw, pos)
     pos += 4
     return raw[pos : pos + n], pos + n

@@ -17,30 +17,30 @@ file name; :func:`iter_fetch_records` finds it among the WARC files given.
 ``SUMMARY_LINES`` lines its first urlkey field and its start offset, the
 first block starting at 0.  The CDX bytes do not depend on it.
 
-:func:`parse_cdx` is the one reader: it reads byte spans of the file in
-fixed-size chunks.  Given a urlkey or timestamp predicate it checks the
-field count and decodes the predicate field of every line it reads (a
-timestamp is compared as 17-digit text, whose order is its time order), and
-decodes the other fields only of the lines that pass.  So a predicate scan
-does not validate those fields on lines it skips; without a predicate every
-field of every line is validated.  With no predicate or a time range the
-span is the whole file.  With a urlkey predicate and a summary the spans
-are the blocks that can hold its keys, read in runs with one seek each:
-at 10 ms a seek and 100 MiB/s, a lookup on an 8,000-line (1.44 MB) index
-costs 20.3 ms instead of the whole file's 23.7 ms, and on a 200,000-line
-(36 MB) index 21.0 ms instead of 358 ms.  Of the block sizes tried (32 to
-1,024 lines), 64 gave the fastest lookup at 8,000 lines and 256 at 200,000;
-``SUMMARY_LINES`` = 128 came within 15% and 35% of them, closer at both
-sizes at once than any other.  The
-summary is checked before it is trusted: its size, the CDX size it records,
-its offsets and keys in order and inside the CDX, the line start and key at
-every block read and the key just past every run, and the order of the
-lines read.  A mismatch is :class:`BadSummary` (or :class:`BadCdxLine` for
-lines out of order) at file@offset, not an answer that differs from a
-whole-file read, as long as the CDX outside the blocks read is still
-sorted: a same-size edit of a block a lookup does not read is not seen.
-A URL list that needs every block reads the whole file, as without a
-summary.
+:func:`parse_cdx` is the one reader.  Given a urlkey or timestamp predicate
+it checks the field count and decodes the predicate field of every line it
+reads (a timestamp is compared as 17-digit text, whose order is its time
+order), and decodes the other fields only of the lines that pass.  So a
+predicate scan does not validate those fields on lines it skips; without a
+predicate every field of every line is validated.  With no predicate or a
+time range it reads the whole file in ``_READ_CHUNK`` pieces.  With a
+urlkey predicate and a summary it reads the blocks that can hold its keys,
+in runs with one seek each and each block in one read: at 10 ms a seek and
+100 MiB/s, a lookup on an 8,000-line (1.44 MB) index costs 20.3 ms instead
+of the whole file's 23.7 ms, and on a 200,000-line (36 MB) index 21.0 ms
+instead of 358 ms.  Of the block sizes tried (32 to 1,024 lines), 64 gave
+the fastest lookup at 8,000 lines and 256 at 200,000; ``SUMMARY_LINES`` =
+128 came within 15% and 35% of them, closer at both sizes at once than any
+other.  A block to read of more than ``_FETCH_BYTES``, or a URL list that
+needs every block, reads the whole file, as without a summary, so memory
+holds one block or one chunk plus the longest line.  The summary is checked
+before it is trusted: its size, the CDX size it records, its offsets and
+keys in order and inside the CDX, the line start and key at every block
+read and the key just past every run, and the order of the lines read.  A
+mismatch is :class:`BadSummary` (or :class:`BadCdxLine` for lines out of
+order) at file@offset, not an answer that differs from a whole-file read,
+as long as the CDX outside the blocks read is still sorted: a same-size
+edit of a block a lookup does not read is not seen.
 
 :func:`iter_fetch_records` fetches in (file, offset) order, one positioned
 read for records stored back to back, up to ``_FETCH_BYTES``, unless told
@@ -72,10 +72,10 @@ from .iostats import IoTracker
 CDX_HEADER = " CDX N b a m s k S V g"
 CDX_COLUMNS = ("urlkey", "url", "timestamp", "record_type", "mime", "status", "digest")
 
-_READ_CHUNK = 1 << 13  # parse_cdx read size: the buffer of a plain buffered reader
+_READ_CHUNK = 1 << 13  # parse_cdx whole-file read size: the buffer of a plain buffered reader
 SUMMARY_LINES = 128  # CDX lines a summary block holds (see the module docstring)
 SUMMARY_HEADER = b" CDX-SUMMARY "  # then the byte size of the CDX summarized
-_FETCH_BYTES = 8 << 20  # most bytes iter_fetch_records reads at once, unless one record is larger
+_FETCH_BYTES = 8 << 20  # most bytes one fetch reads (unless one record is larger) or one summary block holds
 _MERGE_GAP = 1 << 20  # a gap read through rather than sought over: one 10 ms seek's worth at 100 MiB/s
 
 
@@ -190,26 +190,24 @@ def parse_cdx(
 ) -> Iterator[CdxEntry]:
     """The entries of a CDX file, or only those whose pred column matches.
 
-    The file is read in _READ_CHUNK pieces over the spans _spans picks: the
-    whole file, or for a urlkey predicate on a CDX with a summary the blocks
-    that can hold its keys, whose lines must then be in (urlkey, timestamp)
-    order.  Every line read is checked for nine fields.  With a urlkey or
-    timestamp predicate only that field is decoded on every line (on a
-    summary read the urlkey is compared as UTF-8 bytes instead), and only
-    the lines it keeps are decoded in full; pred.matches decides on the
-    decoded entry.  A line that does not decode is BadCdxLine.
+    _plan picks what is read: the whole file, in _READ_CHUNK pieces, or for
+    a urlkey predicate on a CDX with a summary the runs of blocks that can
+    hold its keys, each block in one read, whose lines must then be in
+    (urlkey, timestamp) order.  Every line read is checked for nine fields.
+    With a urlkey or timestamp predicate only that field is decoded on every
+    line (on a summary read the urlkey is compared as UTF-8 bytes instead),
+    and only the lines it keeps are decoded in full; pred.matches decides on
+    the decoded entry.  A line that does not decode is BadCdxLine.
     """
     tracker = tracker or IoTracker()
     keep = _field_test(pred)
-    spans = _spans(file, pred, tracker)
-    if not spans:
-        return
+    plan = _plan(file, pred, tracker)
     last = stamp = None  # on a summary read, the urlkey (as UTF-8) and stamp fields of the line before
-    if spans[0][2] is not None:  # a summary read: pred is a urlkey set
+    if plan is not None:  # a summary read: pred is a urlkey set
         last = stamp = b""
         wanted = {k.encode("utf-8", "surrogatepass") for k in pred.values if isinstance(k, str)}
     with tracker.open(file) as fh:
-        for first, at, lines in _line_chunks(fh, str(file), spans):
+        for first, at, lines in _file_lines(fh) if plan is None else _block_lines(fh, str(file), *plan):
             for i, line in enumerate(lines):
                 line = line.rstrip(b"\r")
                 if not line or line.startswith(b" CDX"):
@@ -219,8 +217,9 @@ def parse_cdx(
                     if len(fields) != 9:
                         raise _bad_line(BadFieldCount, file, first, at, lines, i,
                                         f"expected 9 fields, got {len(fields)}")
-                    if last is not None:  # keys as UTF-8 bytes, whose order is the text's
-                        key = fields[0] if b"%" not in fields[0] else _unescape(fields[0].decode("utf-8")).encode()
+                    if last is not None:  # keys as UTF-8 bytes, whose order is the text's, decoded unless ASCII
+                        key = (fields[0] if fields[0].isascii() and b"%" not in fields[0]
+                               else _unescape(fields[0].decode("utf-8")).encode())
                         if key <= last and (key < last or fields[1].ljust(17, b"0") < stamp.ljust(17, b"0")):
                             raise ValueError("not in (urlkey, timestamp) order")
                         last, stamp = key, fields[1]
@@ -242,43 +241,41 @@ def _bad_line(kind, file, first: Optional[int], at: int, lines: list[bytes], i: 
                 at + sum(len(line) + 1 for line in lines[:i]))
 
 
-# A span of the CDX to read: (start, end or None for the end of the file, the
-# urlkey field its first line must have or None, the urlkey field the line at
-# end must have or None).  Only a summary read has keys.
-Span = tuple[int, Optional[int], Optional[bytes], Optional[bytes]]
-
-
-def _spans(file, pred: Optional[ScanPredicate], tracker: IoTracker) -> list[Span]:
-    """What parse_cdx reads of file for pred: the whole file, unless pred is
-    a set of urlkeys and file has a summary of one block or more.  Then for
-    each key the blocks from the last whose first key is below it through
-    the last whose first key is not above it, the first block when there are
-    none such, so that the block read shows where the key is; blocks less
-    than _MERGE_GAP bytes apart are read with the blocks between them, in
-    one run.  When that is every block, the whole file, read as without a
-    summary."""
-    whole = [(0, None, None, None)]
+def _plan(file, pred: Optional[ScanPredicate], tracker: IoTracker):
+    """What parse_cdx reads of file for pred: None for the whole file, unless
+    pred is a set of urlkeys and file has a summary of one block or more.
+    Then (bounds, fields, runs): where each block starts, then the file
+    size; each block's first urlkey field; and the runs of blocks to read,
+    as (first, last) block.  For each key they hold the blocks from the last
+    whose first key is below it through the last whose first key is not
+    above it, the first block when there are none such, so that the block
+    read shows where the key is; blocks less than _MERGE_GAP bytes apart
+    are read with the blocks between them, in one run.  None again when
+    that is every block, which reads as without a summary, or when a block
+    to read is larger than _FETCH_BYTES, as _block_lines holds each whole."""
     path = summary_path(file)
     if pred is None or pred.column != "urlkey" or pred.values is None or not os.path.exists(path):
-        return whole
+        return None
     size = os.path.getsize(file)
     with tracker.open(path, sequential=True) as fh:
-        firsts, starts, fields = _read_summary(fh, path, str(file), size)
-    if not starts:
-        return whole
-    ends = starts[1:] + [size]
-    picked: list[int] = []
+        firsts, bounds, fields = _read_summary(fh, path, str(file), size)
+    if not fields:
+        return None
+    bounds.append(size)
     keys = {k for k in pred.values if isinstance(k, str)}  # no other value is a urlkey
     blocks = {max(i - 1, 0) for i in set(map(bisect_left, repeat(firsts), keys))}  # the bisects run in C
     for k in keys.intersection(firsts):  # a key that starts blocks may have lines in each of them
         blocks.update(range(bisect_left(firsts, k), bisect_right(firsts, k)))
+    runs: list[tuple[int, int]] = []
     for i in sorted(blocks):
-        if picked and starts[i] - ends[picked[-1]] < _MERGE_GAP:
-            picked.extend(range(picked[-1] + 1, i))
-        picked.append(i)
-    if len(picked) == len(starts):  # every block: the whole file, which needs no summary to be read right
-        return whole
-    return [(starts[i], ends[i], fields[i], fields[i + 1] if i + 1 < len(fields) else None) for i in picked]
+        if runs and bounds[i] - bounds[runs[-1][1] + 1] < _MERGE_GAP:
+            runs[-1] = runs[-1][0], i
+        else:
+            runs.append((i, i))
+    if runs == [(0, len(fields) - 1)] or any(
+            bounds[i + 1] - bounds[i] > _FETCH_BYTES for first, last in runs for i in range(first, last + 1)):
+        return None
+    return bounds, fields, runs
 
 
 def _read_summary(fh, path: str, cdx_path: str, size: int) -> tuple[list[str], list[int], list[bytes]]:
@@ -321,74 +318,58 @@ def _number(text: bytes) -> Optional[int]:
     return int(text) if 0 < len(text) <= 20 and text.isascii() and text.isdigit() else None
 
 
-def _line_chunks(fh, file: str, spans: list[Span]) -> Iterator[tuple[Optional[int], int, list[bytes]]]:
-    """Per _READ_CHUNK read over spans, in file order: the number of the
-    first line the read ends (None unless the reading began at the top of
-    the file), the offset of that line, and the lines, without b"\\n".  A
-    line read in pieces is joined once, so memory holds one chunk plus the
-    longest line; a last line without b"\\n" comes last.
-
-    A span that does not continue the one before starts a run with one seek.
-    Where a span has keys, its start and end must be line starts (the byte
-    before a run is read for its b"\\n"), the first line past the header
-    must have its first key, and after a run the bytes at its end must be
-    its end key and a space; else BadSummary at that offset.
-    """
-    line_no, line_at, at, head = None, 0, None, []  # head: the pieces of the line no read has ended yet
-    check = fence = None  # (offset, urlkey field) to find at the next line, at the end of the run
-    for start, end, key, end_key in spans:
-        if start != at:  # a new run
-            _close_run(fh, file, at, head, fence)
-            fh.seek(max(start - 1, 0))
-            if start and fh.read(1) != b"\n":
-                raise BadSummary(file, start, "no CDX line starts here")
-            line_no, line_at, at, head = (1 if start == 0 else None), start, start, []
-        elif any(head):
-            raise BadSummary(file, start, "no CDX line starts here")
-        check, fence = (start, key) if key is not None else None, (end, end_key) if end_key is not None else None
-        while end is None or at < end:
-            if not (chunk := fh.read(_READ_CHUNK if end is None else min(_READ_CHUNK, end - at))):
-                break
-            at += len(chunk)
-            *ended, tail = chunk.split(b"\n")
-            if ended:
-                ended[0] = b"".join(head) + ended[0]
-                check = _check_first(file, ended, check)
-                yield line_no, line_at, ended
-                if line_no is not None:
-                    line_no += len(ended)
-                line_at, head = at - len(tail), []
-            head.append(tail)
-        if check is not None and not any(head):
-            raise BadSummary(file, check[0], "the summary has a block here that holds no CDX line")
-    _close_run(fh, file, at, head, fence)
-    last = b"".join(head)
-    if last:
-        _check_first(file, [last], check)
+def _file_lines(fh) -> Iterator[tuple[int, int, list[bytes]]]:
+    """Per _READ_CHUNK read of the whole file: the number and offset of the
+    first line the read ends, and the lines, without b"\\n".  A line read in
+    pieces is joined once, so memory holds one chunk plus the longest line;
+    a last line without b"\\n" comes last."""
+    fh.seek(0)
+    line_no, line_at, at, head = 1, 0, 0, []  # head: the pieces of the line no read has ended yet
+    while chunk := fh.read(_READ_CHUNK):
+        at += len(chunk)
+        *ended, tail = chunk.split(b"\n")
+        if ended:
+            ended[0] = b"".join(head) + ended[0]
+            yield line_no, line_at, ended
+            line_no += len(ended)
+            line_at, head = at - len(tail), []
+        head.append(tail)
+    if last := b"".join(head):
         yield line_no, line_at, [last]
 
 
-def _check_first(file: str, lines: list[bytes], check):
-    """check, or None once the first of lines past the header has the
-    urlkey field check asks for; BadSummary if it has another."""
-    if check is not None:
-        for line in lines:
-            if line.rstrip(b"\r") and not line.startswith(b" CDX"):
-                if line.split(b" ", 1)[0] != check[1]:
-                    raise BadSummary(file, check[0], f"the summary has {check[1][:80]!r} at the start of the block")
-                return None
-    return check
-
-
-def _close_run(fh, file: str, at, head: list[bytes], fence) -> None:
-    """At the end of a run: it must end a line, and where a block follows,
-    the bytes there must be that block's first urlkey field and a space."""
-    if fence is None:
-        return
-    if any(head):
-        raise BadSummary(file, at, "no CDX line starts here")
-    if fh.read(len(fence[1]) + 1) != fence[1] + b" ":
-        raise BadSummary(file, fence[0], f"the summary has {fence[1][:80]!r} at the start of the block")
+def _block_lines(fh, file: str, bounds: list[int], fields: list[bytes],
+                 runs: list[tuple[int, int]]) -> Iterator[tuple[Optional[int], int, list[bytes]]]:
+    """Per block of runs, in file order: the number of its first line (None
+    unless its run starts the file), its offset, and its lines, without
+    b"\\n".  A run is one seek and a block one read, so memory holds one
+    block.  The byte before a run must be b"\\n", the first line of a block
+    past the header must have its urlkey field, a block must end a line
+    unless it ends the file, and after a run the bytes there must be the
+    next block's urlkey field and a space; else BadSummary at that offset.
+    """
+    for first, last in runs:
+        fh.seek(max(bounds[first] - 1, 0))
+        if bounds[first] and fh.read(1) != b"\n":
+            raise BadSummary(file, bounds[first], "no CDX line starts here")
+        line_no = 1 if bounds[first] == 0 else None
+        for i in range(first, last + 1):
+            start, end = bounds[i], bounds[i + 1]
+            lines = fh.read(end - start).split(b"\n")
+            tail = lines.pop() if i + 1 < len(fields) else b""  # the start of a line the block does not end
+            head = next((line for line in lines if line.rstrip(b"\r") and not line.startswith(b" CDX")), None)
+            if head is None and not tail:
+                raise BadSummary(file, start, "the summary has a block here that holds no CDX line")
+            if head is not None and head.split(b" ", 1)[0] != fields[i]:
+                raise BadSummary(file, start, f"the summary has {fields[i][:80]!r} at the start of the block")
+            yield line_no, start, lines
+            if tail:
+                raise BadSummary(file, end, "no CDX line starts here")
+            if line_no is not None:
+                line_no += len(lines)
+        if last + 1 < len(fields) and fh.read(len(fields[last + 1]) + 1) != fields[last + 1] + b" ":
+            raise BadSummary(file, bounds[last + 1],
+                             f"the summary has {fields[last + 1][:80]!r} at the start of the block")
 
 
 def _decode_line(line: bytes) -> CdxEntry:

@@ -24,7 +24,6 @@ from .iostats import IoTracker, Measurement
 
 KINDS = ("count", "meta", "records")
 COLUMNS = tuple(COL)  # canonical schema order
-META_COLUMNS = tuple(c for c in COLUMNS if c not in ("payload", "http_headers"))
 DEFAULT_META_PROJECTION = ("urlkey", "timestamp", "digest")  # what the result digest hashes
 
 @dataclass(frozen=True)

@@ -97,13 +97,18 @@ _DATASET_ORDER = (
 
 
 def pytest_collection_modifyitems(items):
-    """Run the tests of the full-scale acceptance dataset last, cheapest
-    first.  At the default 200k records that dataset takes about 12 min to
-    build and its five tests about 12 min to run, so every other test of the
-    session reports before it, and each of its tests before a dearer one."""
+    """Mark the tests of the full-scale acceptance dataset full_scale, and
+    run them last, cheapest first.  At the default 200k records that dataset
+    takes about 12 min to build and its five tests about 12 min to run, so
+    every other test of the session reports before it, and each of its tests
+    before a dearer one.  ``pytest -m "not full_scale"`` runs all the others."""
+
+    for item in items:
+        if "dataset" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.full_scale)
 
     def cost(item):
-        if "dataset" not in getattr(item, "fixturenames", ()):
+        if not item.get_closest_marker("full_scale"):
             return 0, 0
         name = item.originalname
         return 1, _DATASET_ORDER.index(name) if name in _DATASET_ORDER else len(_DATASET_ORDER)

@@ -1,10 +1,12 @@
 import csv
 import os
+import re
 
 import pytest
 
 from archfmt import cdx
 from archfmt.bench import (
+    CSV_HEADER,
     SuiteConfig,
     SyntheticSpec,
     emit_report,
@@ -203,3 +205,24 @@ def test_report_empty_csv(tmp_path):
     empty.write_text("")
     with pytest.raises(BadCsv):
         emit_report(empty, tmp_path / "rep")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("wall_ms", "abc"),
+    ("wall_ms", "nan"),
+    ("modeled_ms", "inf"),
+    ("selectivity", "0"),
+    ("selectivity", "-0.5"),
+    ("dataset_bytes", "1.5"),
+    ("dataset_bytes", "-1"),
+    (None, None),  # a row of two fields
+])
+def test_report_malformed_row_is_bad_csv_at_its_line(tmp_path, field, value):
+    good = ["t2", "warc", "0.1", "0", "5.0", "100", "1", "1", "3", "12.0", "1000"]
+    bad = ["t2", "warc"] if field is None else [value if name == field else v for name, v in zip(CSV_HEADER, good)]
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(",".join(r) for r in (CSV_HEADER, good, good, bad, good)) + "\n", encoding="utf-8")
+    with pytest.raises(BadCsv, match=re.escape(f"{path}:4: ")):
+        emit_report(path, tmp_path / "rep")
+    path.write_text("\n".join(",".join(r) for r in (CSV_HEADER, good)) + "\n", encoding="utf-8")
+    assert len(emit_report(path, tmp_path / "rep")) == 3

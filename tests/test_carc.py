@@ -730,6 +730,25 @@ def test_footer_stat_of_wrong_type_is_footer_corrupt(tmp_path, column, stat, fie
         list(read_carc(path, pred=pred))
 
 
+@pytest.mark.parametrize("kind", [3, 7, 255])
+def test_footer_scalar_of_unknown_kind_is_footer_corrupt(tmp_path, kind):
+    """A page min/max scalar is kind 0 (none), 1 (INT64) or 2 (bytes): a
+    footer forged with another kind and a CRC to match does not read."""
+    path = tmp_path / "k.carc"
+    write_carc(make_rows(50, seed=13), SCHEMA, path, rows_per_group=10)
+    data = path.read_bytes()
+    (footer_len,) = struct.unpack_from("<Q", data, len(data) - 12)
+    start = len(data) - TRAILER_LEN - footer_len
+    raw = data[start : len(data) - TRAILER_LEN]
+    stat = read_footer(path).row_groups[0].chunks[SCHEMA.index_of("urlkey")].pages[0].min
+    scalar = b"\x02" + struct.pack("<I", len(stat)) + stat
+    assert raw.count(scalar) >= 1
+    raw = raw.replace(scalar, bytes([kind]) + scalar[1:], 1)
+    path.write_bytes(data[:start] + raw + struct.pack("<IQ", zlib.crc32(raw), len(raw)) + MAGIC)
+    with pytest.raises(FooterCorrupt, match=re.escape(f"{path}@{start}: ") + ".*kind"):
+        read_footer(path)
+
+
 @pytest.mark.parametrize("column", ["urlkey", "note"])
 def test_footer_null_count_that_would_hide_a_group_is_footer_corrupt(tmp_path, column):
     """A chunk claimed to hold nulls only, in a non-nullable column or beside

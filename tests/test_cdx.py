@@ -538,6 +538,35 @@ def test_summary_reads_equal_whole_file_reads(tmp_path, monkeypatch, lines):
         assert _lookup(path, q, tracker) == expected, q
         if len(q) == 1 and lines < 64:
             assert tracker.bytes_read < size and tracker.open_count <= 2 and tracker.seek_count <= 2
+    rows = [line.split(b" ") for line in summary.read_bytes().splitlines()[1:]]
+    fields, bounds = [f for f, _ in rows], [int(at) for _, at in rows] + [size]
+    firsts = [cdx_mod._unescape(f.decode()) for f in fields]
+    # two keys far apart, with blocks a byte apart read in runs of their own: per run one
+    # seek, the byte before it, its blocks, and the first urlkey field and a space after it
+    monkeypatch.setattr(cdx_mod, "_MERGE_GAP", 1)
+    q = [keys[1], keys[-1]]
+    runs: list[list[int]] = []
+    for i in range(len(fields)):  # the blocks from the last whose first key is below a key to the last not above it
+        if any(firsts[i] <= k and (i + 1 == len(fields) or k <= firsts[i + 1]) for k in q):
+            if runs and runs[-1][-1] == i - 1:
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+    assert len(runs) >= 2
+    run_bytes = [(bounds[r[0]] > 0) + bounds[r[-1] + 1] - bounds[r[0]]
+                 + (len(fields[r[-1] + 1]) + 1 if r[-1] + 1 < len(fields) else 0) for r in runs]
+    tracker = IoTracker()
+    assert _lookup(path, q, tracker) == [e for e in entries if e.urlkey in q]
+    assert (tracker.bytes_read, tracker.seek_count, tracker.open_count) == (
+        summary.stat().st_size + sum(run_bytes), 1 + len(runs), 2)
+    # a block to read larger than _FETCH_BYTES is not held whole: the lookup reads the whole file
+    big = max(range(len(fields)), key=lambda i: bounds[i + 1] - bounds[i])
+    q = [firsts[big]]
+    for cap, whole in ((bounds[big + 1] - bounds[big], False), (bounds[big + 1] - bounds[big] - 1, True)):
+        monkeypatch.setattr(cdx_mod, "_FETCH_BYTES", cap)
+        tracker = IoTracker()
+        assert _lookup(path, q, tracker) == [e for e in entries if e.urlkey in q]
+        assert (tracker.bytes_read == summary.stat().st_size + size) == whole and tracker.seek_count == 2
     summary.unlink()  # the same answers from the whole file
     assert all(_lookup(path, q) == [e for e in entries if e.urlkey in set(q)] for q in queries)
 
@@ -615,6 +644,10 @@ def test_a_block_read_starts_a_line_and_its_lines_are_in_order(tmp_path, monkeyp
     path.write_bytes(data.replace(b"com,k010)/", b"com,k030)/"))  # a line inside the second block, same size
     with pytest.raises(BadCdxLine, match=rf"^{re.escape(str(path))}@{data.index(b'com,k011)/')}: not in .* order"):
         _lookup(path, ["com,k011)/"])
+    # the last line a lookup of com,k011)/ reads, whose order no line after it shows, with a key not UTF-8
+    path.write_bytes(data.replace(b"com,k015)/", b"com,k01\xff)/"))
+    with pytest.raises(BadCdxLine, match=rf"^{re.escape(str(path))}@{data.index(b'com,k015)/')}: 'utf-8' codec"):
+        _lookup(path, ["com,k011)/"])
     # two captures of one key, their timestamps swapped in place: in urlkey order, not in time order
     entries = [CdxEntry(f"com,a{i:02d})/", 1526889600000, "u", "", 200, "D", 1, i, "f") for i in range(16)]
     entries += [CdxEntry("com,k)/", 1526889700000 + 1000 * i, "u", "", 200, "D", 1, i, "f") for i in range(8)]
@@ -666,6 +699,64 @@ def test_summary_fuzz_fails_only_with_located_errors(tmp_path, monkeypatch):
                 assert got == [e for e in entries if e.urlkey in set(q)], (i, q)
                 outcomes.add("answer")
     assert {"answer", "BadSummary"} <= outcomes
+
+
+def test_cdx_fuzz_beside_a_good_summary_fails_only_with_located_errors(tmp_path, monkeypatch):
+    """Whatever a CDX changed in place beside its good summary holds, a
+    lookup answers as a whole-file read does of the CDX with only the
+    changes that lie in what the lookup read (the summary cannot see a
+    same-size edit of a block it does not read), or fails with an error that
+    names where.  A truncated CDX fails as the summary records its size."""
+    from archfmt.errors import ArchfmtError, BadSummary
+
+    monkeypatch.setattr(cdx_mod, "SUMMARY_LINES", 3)
+    monkeypatch.setattr(cdx_mod, "_MERGE_GAP", 64)  # so that a list of keys reads in several runs
+    entries = _summary_corpus(random.Random(9), n=60)
+    path, plain = tmp_path / "m.cdx", tmp_path / "plain.cdx"  # plain has no summary: a whole-file read
+    cdx_mod._write_index(entries, path)
+    good = path.read_bytes()
+    keys = sorted({e.urlkey for e in entries})
+    rng = random.Random(2027)
+    queries = [[k] for k in rng.sample(keys, 8)] + [["absent)/"], rng.sample(keys, 3), rng.sample(keys, 6)]
+    spans = []  # the bytes of the CDX a lookup read through the summary, as [start, end) ranges
+    block_lines = cdx_mod._block_lines
+
+    def spy(fh, file, bounds, fields, runs):
+        for first, last in runs:
+            after = len(fields[last + 1]) + 1 if last + 1 < len(fields) else 0
+            spans.append((bounds[first] - 1, bounds[last + 1] + after))
+        return block_lines(fh, file, bounds, fields, runs)
+
+    monkeypatch.setattr(cdx_mod, "_block_lines", spy)
+    located = re.compile(rf"^{re.escape(str(path))}(@\d+|:\d+): ")
+    outcomes = set()
+    for i in range(400):
+        if i % 5 == 0:
+            path.write_bytes(good[: rng.randrange(len(good))])
+            with pytest.raises(BadSummary, match=re.escape(f"{path}.idx@0: ")):
+                _lookup(path, queries[0])
+            continue
+        mutated = bytearray(good)
+        changed = rng.sample(range(len(good)), rng.choice([1, 1, 2]))
+        for at in changed:
+            mutated[at] = rng.choice([(mutated[at] + rng.randrange(1, 256)) % 256, ord(rng.choice("0189 \n\r,a%"))])
+        path.write_bytes(bytes(mutated))
+        for q in queries:
+            spans.clear()
+            try:
+                got = _lookup(path, q)
+            except ArchfmtError as exc:
+                assert located.match(str(exc)), str(exc)
+                outcomes.add(type(exc).__name__)
+                continue
+            seen = bytearray(good)  # the CDX with only the changes the lookup read
+            for at in changed:
+                if not spans or any(a <= at < b for a, b in spans):
+                    seen[at] = mutated[at]
+            plain.write_bytes(bytes(seen))
+            assert got == _lookup(plain, q), (i, q)
+            outcomes.add("answer" if seen == mutated else "unread")
+    assert {"answer", "unread", "BadSummary", "BadCdxLine", "BadFieldCount"} <= outcomes
 
 
 @pytest.mark.parametrize("body", [
