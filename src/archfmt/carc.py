@@ -28,13 +28,15 @@ naming its version.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadMagic,
@@ -354,6 +356,47 @@ def inflate(stored, ulen: int, codec: str) -> bytes:
     return raw
 
 
+# ordered_map decodes one unit ahead in _POOL where this process may run on more than one CPU
+_PARALLEL = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) > 1
+_INLINE_BYTES = 128 << 10  # a unit that inflates to fewer bytes runs in the caller
+_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="archfmt-decode")
+_END = object()
+
+
+def ordered_map(fn: Callable, units: Iterable, size: Callable[..., int]) -> Iterator:
+    """fn(unit) for each of units, in their order.  Under _PARALLEL the
+    units go in pairs: the calling thread computes the first while _POOL
+    computes the second, if it inflates to size(unit) >= _INLINE_BYTES
+    bytes (a smaller one runs in the caller too).  zlib releases the
+    interpreter lock, so the pool's inflate runs beside the caller's.
+
+    So at most two units are in flight, and units is read at most one unit
+    ahead of the results yielded.  An exception from units is raised after
+    the result of every unit before it, and one from fn in its unit's
+    turn.  When the caller stops, the pool's unit is cancelled, or left to
+    finish with its result dropped: a unit works on bytes already read.
+    """
+    it = iter(units)
+    for unit in it:
+        ahead, error, future = _END, None, None
+        if _PARALLEL:
+            try:
+                ahead = next(it, _END)
+            except Exception as exc:  # raised in its turn, after the result of the unit before it
+                error = exc
+            if ahead is not _END and size(ahead) >= _INLINE_BYTES:
+                future = _POOL.submit(fn, ahead)
+        try:
+            yield fn(unit)
+            if ahead is not _END:
+                yield fn(ahead) if future is None else future.result()
+        finally:
+            if future is not None:
+                future.cancel()
+        if error is not None:
+            raise error
+
+
 def _pack_scalar(v) -> bytes:
     if v is None:
         return b"\x00"
@@ -650,10 +693,14 @@ def read_carc(
     match are read and decoded first.  A group with no matching row reads
     nothing more; otherwise, of each other projected chunk, one read spans
     the pages that hold the matching rows (every page without a predicate).
-    Each page is inflated only when its first value is reached, and the
-    columns advance together, so a read holds one inflated page per column.
-    A page is checked whole but builds only the values of the matching rows
-    (see _decode_chunk).  Pass a tracker to collect the I/O measurement.
+    Each page is inflated when its first value is reached, and the columns
+    advance together.  Pages are inflated and decoded through ordered_map:
+    while the calling thread decodes one page of a chunk, the pool may
+    decode the next, so a read holds up to two inflated pages per column.
+    A page is checked whole but builds only the values of the matching
+    rows (see _decode_chunk).  Pass a tracker to collect the I/O
+    measurement; the reads are made in the calling thread, and are the
+    same with the pool or without it.
 
     With bytes_view=True, BYTES values are yielded as zero-copy memoryview
     slices over the decoded page; call bytes() on a value to detach it.
@@ -678,14 +725,17 @@ def read_carc(
             at = list(accumulate((p.compressed_len for p in c.pages), initial=c.chunk_offset))
             base = at[wanted[0][0]]
             span = memoryview(fh.pread(base, at[wanted[-1][0] + 1] - base))
-            for pi, rows in wanted:
+
+            def values(page: tuple[int, Optional[list[int]]]) -> list:
+                pi, rows = page
                 p = c.pages[pi]
                 try:
                     raw = inflate(span[at[pi] - base : at[pi + 1] - base], p.uncompressed_len, footer.codec)
-                    values = _decode_chunk(raw, schema.columns[ci], p.row_count, bytes_view, rows)
+                    return _decode_chunk(raw, schema.columns[ci], p.row_count, bytes_view, rows)
                 except _DECODE_ERRORS as exc:
                     raise DecompressFailure(f"{file}@{at[pi]}: {exc}") from None
-                yield values
+
+            yield from ordered_map(values, wanted, lambda page: c.pages[page[0]].uncompressed_len)
 
         for gi in plan_row_groups(footer, pred):
             g = footer.row_groups[gi]

@@ -114,6 +114,12 @@ def _scan(
     record, and the HTTP split and digest of a record only when pred tests a
     column they give (mime) or a matching row asks for one.  bytes_view is
     passed to the container readers, coalesce to cdx.iter_fetch_records.
+
+    carc and rarc decode their split units (a CARC page, an RARC block)
+    through carc.ordered_map, the next unit in a pool thread while this
+    one decodes; rows come in the same order, with the same errors, with
+    the pool or without it.  warc reads serially, as a member-gzip file is
+    split only by inflating it, and so does warc_cdx.
     """
     source = paths.source(backend)
     if backend in ("carc", "rarc"):

@@ -17,11 +17,12 @@ from __future__ import annotations
 import os
 import random
 import struct
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .carc import (
     CODEC_ID, CTYPES, _CODEC_NAME, _DECODE_ERRORS, _LEN_STRUCT, CarcSchema, ScanPredicate, _check_value, compress,
-    inflate,
+    inflate, ordered_map,
 )
 from .errors import BadMagic, DecompressFailure, SchemaMismatch, SyncLost
 from .iostats import IoTracker
@@ -205,14 +206,21 @@ def _blocks(
     fh, file: str, header, offset: int, size: int, decode: Callable[[bytes, int], list], stop: Optional[int] = None
 ) -> Iterator[list]:
     """Per block of _frames, what decode makes of its inflated payload and
-    row count; inflate checks the uncompressed length."""
+    row count; inflate checks the uncompressed length.  Blocks are read
+    here, in the calling thread, and inflated and decoded through
+    ordered_map, so one block may be read and decoded ahead of the one
+    yielded, and a framing error (SyncLost) is raised after the blocks
+    before it were yielded."""
     _, codec, sync, _ = header
-    for at, count, ulen, stored in _frames(fh, file, sync, offset, size, stop):
+
+    def rows(frame: tuple[int, int, int, bytes]) -> list:
+        at, count, ulen, stored = frame
         try:
-            rows = decode(inflate(stored, ulen, codec), count)
+            return decode(inflate(stored, ulen, codec), count)
         except _DECODE_ERRORS as exc:
             raise DecompressFailure(f"{file}@{at}: {exc}") from None
-        yield rows
+
+    return ordered_map(rows, _frames(fh, file, sync, offset, size, stop), itemgetter(2))  # by uncompressed length
 
 
 def read_rarc(
@@ -288,7 +296,8 @@ def resync(
     the one range [a, b) its start lies in: readers over ranges that tile
     [0, size) together yield every row once.  Payload bytes that equal the
     marker are passed over when no block frames after them.  Blocks are
-    read as rows are consumed, so reading stops with the caller.
+    read as rows are consumed, so reading stops with the caller, at most one
+    block past the one it stopped in (see _blocks).
     """
     file = str(file)
     tracker = tracker or IoTracker()

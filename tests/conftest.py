@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -67,6 +68,38 @@ def corpus(tmp_path_factory):
             rarc=rarc_manifest.output,
         ),
     }
+
+
+class CountingPool:
+    """A stand-in for carc._POOL that counts the units submitted to it."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted = pool, 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        return self.pool.submit(fn, *args)
+
+
+@contextmanager
+def at_threads(n, gate=0):
+    """carc.ordered_map on n threads, 1 (no pool) or 2 (the caller and the
+    pool), its 128 KiB gate at gate (at 0 the small units of test files
+    take the pool), and the pool counted: yields the CountingPool."""
+    pool = CountingPool(carc._POOL)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(carc, "_PARALLEL", n == 2)
+        mp.setattr(carc, "_INLINE_BYTES", gate)
+        mp.setattr(carc, "_POOL", pool)
+        yield pool
+
+
+@pytest.fixture(params=[1, 2], ids=["1thread", "2threads"])
+def threads(request):
+    """Run a test on 1 and 2 threads, the small units of test files taking
+    the pool at 2 (see at_threads)."""
+    with at_threads(request.param):
+        yield request.param
 
 
 @pytest.fixture(scope="session", autouse=True)

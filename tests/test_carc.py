@@ -3,6 +3,8 @@ import math
 import random
 import re
 import struct
+import threading
+import time
 import tracemalloc
 import zlib
 
@@ -34,6 +36,7 @@ from archfmt.errors import (
     UnsortedInput,
 )
 from archfmt.iostats import IoTracker
+from conftest import at_threads
 
 SCHEMA = CarcSchema(
     columns=(
@@ -527,6 +530,93 @@ def test_reading_a_column_holds_one_inflated_page(tmp_path, monkeypatch):
     assert peaks["whole"] > raw > 4 * peaks["paged"], (raw, peaks)
 
 
+# --- parallel decode: carc.ordered_map ------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ordered_map_keeps_order_reads_at_most_threads_units_ahead_and_raises_in_turn(n):
+    pulled = []
+
+    def units():
+        for i in range(7):
+            pulled.append(i)
+            yield i
+        raise DecompressFailure("f@99: the units end in an error")
+
+    got = []
+    with at_threads(n) as pool, pytest.raises(DecompressFailure, match="f@99"):
+        for result in carc.ordered_map(lambda u: u * u, units(), lambda u: 1):
+            assert len(pulled) <= len(got) + n  # the unit yielded and at most n - 1 after it
+            got.append(result)
+    assert got == [i * i for i in range(7)]  # every unit before the error was yielded
+    assert pool.submitted == (3 if n == 2 else 0)  # units 1, 3 and 5: the second of each pair
+
+
+def test_ordered_map_runs_units_under_the_gate_in_the_caller():
+    gate = 128 << 10
+    assert carc._INLINE_BYTES == gate
+    for size, submitted in ((gate - 1, 0), (gate, 2)):
+        with at_threads(2, gate) as pool:
+            assert list(carc.ordered_map(str, range(5), lambda u: size)) == list("01234")
+        assert pool.submitted == submitted, size
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ordered_map_error_of_a_unit_is_raised_in_its_turn(n):
+    def fn(u):
+        if u == 3:
+            raise DecompressFailure(f"f@{u}: bad unit")
+        return u
+
+    got = []
+    with at_threads(n), pytest.raises(DecompressFailure, match="f@3"):
+        for result in carc.ordered_map(fn, range(6), lambda u: 1):
+            got.append(result)
+    assert got == [0, 1, 2]
+
+
+def test_ordered_map_closed_early_does_not_wait_for_the_pool_unit():
+    """A map closed early cancels the pool's unit, or leaves it to finish with
+    its result dropped: a unit works on bytes already read."""
+    release = threading.Event()
+
+    def fn(u):
+        if u == 1:  # the pool's unit, running until released
+            release.wait(10)
+        return u
+
+    with at_threads(2) as pool:
+        results = carc.ordered_map(fn, range(10), lambda u: 1)
+        assert next(results) == 0
+        began = time.monotonic()
+        results.close()
+        assert time.monotonic() - began < 5 and pool.submitted == 1
+    release.set()
+    assert carc._POOL.submit(int).result(timeout=10) == 0  # the pool is free again
+
+
+def test_read_carc_closed_after_its_first_page_reads_no_more_at_two_threads(tmp_path, monkeypatch):
+    """A reader closed early may have read one unit more than it yielded;
+    read_carc reads each chunk's wanted pages with one pread before
+    any is inflated, so it reads exactly what it reads at one thread."""
+    monkeypatch.setattr(carc, "PAGE_ROWS", 8)
+    path = tmp_path / "e.carc"
+    write_carc(make_rows(100, seed=17), SCHEMA, path, rows_per_group=50)
+    pages = read_footer(path).row_groups[0].chunks[0].pages
+    assert len(pages) > 2
+    io = {}
+    for n in (1, 2):
+        for pred in (None, ScanPredicate.range("timestamp", 0, 10**12)):
+            with at_threads(n) as pool:
+                tracker = IoTracker()
+                reader = read_carc(path, pred=pred, tracker=tracker)
+                for _ in range(pages[0].row_count):
+                    next(reader)
+                reader.close()
+            io[n, pred is None] = tracker.bytes_read, tracker.seek_count
+            assert pool.submitted >= (n - 1) * len(SCHEMA.columns)
+    assert io[1, True] == io[2, True] and io[1, False] == io[2, False]
+
+
 # A file of two rows (urlkey STRING, timestamp INT64; codec none) as the
 # version-1 writer wrote it: its chunks are not paged, and its footer holds no
 # version.
@@ -694,7 +784,7 @@ def test_hostile_footers_are_typed(tmp_path, monkeypatch, codec, field, value):
 
 
 @pytest.mark.parametrize("codec", ["none", "gzip"])
-def test_mutation_fuzz_raises_only_typed_errors(tmp_path, monkeypatch, codec):
+def test_mutation_fuzz_raises_only_typed_errors(tmp_path, monkeypatch, codec, threads):
     monkeypatch.setattr(carc, "PAGE_ROWS", 5)
     monkeypatch.setattr(carc, "PAGE_BYTES", 200)
     path = tmp_path / "f.carc"

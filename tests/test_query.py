@@ -1,11 +1,16 @@
 import dataclasses
 import hashlib
+import os
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from archfmt import carc as carc_mod
 from archfmt import cdx
+from archfmt import rarc as rarc_mod
 from archfmt.bench import selectivity_ranges, selectivity_url_lists
 from archfmt.convert import convert, to_canonical
 from archfmt.errors import ArchfmtError, BackendUnavailable, BadDate, BadOffset, NotAbsoluteUrl, SchemaMismatch
@@ -20,9 +25,10 @@ from archfmt.query import (
     _HTML,
     scan_extract,
 )
+from archfmt.iostats import IoTracker
 from archfmt.warc import make_record, scan_warc, write_warc
 
-from conftest import synth_records
+from conftest import at_threads, synth_records
 
 
 def test_count_matches_generator(corpus):
@@ -637,3 +643,93 @@ def test_warc_cdx_fetch_must_be_the_record_of_its_line(tmp_path):
     _, b_line = cdx.parse_cdx(paths.cdx)
     with pytest.raises(BadOffset, match=rf"f\.warc@{b_line.offset}: .* line example,b\)/ "):
         run_query(QuerySpec(kind="records", urlkeys=("example,b)/",)), "warc_cdx", paths)
+
+
+# --- parallel decode ------------------------------------------------------------
+
+def _io(m) -> tuple[int, int, int]:
+    return m.bytes_read, m.seek_count, m.open_count
+
+
+def _outcome(read) -> tuple[list, object, object]:
+    """The rows read() yields, and the class and message of the error it
+    ends in (None, None when it ends without one)."""
+    rows = []
+    try:
+        for row in read():
+            rows.append(row)
+    except ArchfmtError as exc:
+        return rows, type(exc), str(exc)
+    return rows, None, None
+
+
+def _flip(src, dest, at: int) -> str:
+    """A copy of src at dest with the byte at offset at changed."""
+    data = bytearray(Path(src).read_bytes())
+    data[at] ^= 0x5A
+    dest.write_bytes(bytes(data))
+    return str(dest)
+
+
+def test_reads_are_identical_at_one_and_two_threads(corpus, tmp_path, monkeypatch):
+    """Parallel decode changes no answer.  Reads run to the end give the same
+    rows, query digests, scan_extract bytes and I/O counters at 1 and 2
+    threads; reads that fail give the same error class and file@offset
+    message after the same rows.  At 2 threads the pool computes units."""
+    monkeypatch.setattr(carc_mod, "PAGE_ROWS", 8)  # chunks of many pages, each a unit
+    paths = dataclasses.replace(corpus["paths"], carc=convert(
+        corpus["paths"].warc_files, "carc", tmp_path / "carc", sort="timestamp", rows_per_group=64).output)
+    entries = list(cdx.parse_cdx(paths.cdx))
+    (window,) = selectivity_ranges(paths.cdx, [0.3])
+    specs = [QuerySpec(kind="count"), QuerySpec(kind="meta"), QuerySpec(kind="records", time_range=window),
+             QuerySpec(kind="records", urlkeys=tuple(sorted({e.urlkey for e in entries})[::7]))]
+
+    blocks = rarc_mod.describe(paths.rarc)["blocks"]
+    size = os.path.getsize(paths.rarc)
+    cut = tmp_path / "cut.rarc"
+    cut.write_bytes(Path(paths.rarc).read_bytes()[: size - 40])  # inside the last block
+    bad_rarc = _flip(paths.rarc, tmp_path / "bad.rarc", blocks[3]["offset"] + 20 + blocks[3]["stored_len"] // 2)
+    group = carc_mod.read_footer(paths.carc).row_groups[2]
+    chunk = group.chunks[COLUMNS.index("payload")]
+    page_at = chunk.chunk_offset + sum(p.compressed_len for p in chunk.pages[:3])
+    bad_carc = _flip(paths.carc, tmp_path / "bad.carc", page_at + chunk.pages[3].compressed_len // 2)
+
+    failing = {
+        "truncated rarc": lambda: rarc_mod.read_rarc(cut),
+        "truncated rarc resync": lambda: rarc_mod.resync(cut, size // 2),
+        "bad rarc block": lambda: rarc_mod.read_rarc(bad_rarc, projection=("urlkey", "payload")),
+        "bad carc page": lambda: carc_mod.read_carc(bad_carc, projection=("urlkey", "payload")),
+    }
+
+    def read_all(n):
+        out = {}
+        with at_threads(n) as pool:
+            for backend in BACKENDS:
+                for spec in specs:
+                    r = run_query(spec, backend, paths)
+                    out[backend, spec] = r.rows, r.record_ids_digest, _io(r.measurement)
+                for extractor in ("links", "text"):
+                    dest = tmp_path / f"{n}.{backend}.{extractor}.tsv"
+                    _, m = scan_extract(backend, paths, extractor, dest)
+                    out[backend, extractor] = hashlib.sha256(dest.read_bytes()).hexdigest(), _io(m), m.records_out
+            tracker = IoTracker()
+            out["resync"] = list(rarc_mod.resync(paths.rarc, size // 2, tracker)), _io(tracker)
+            for name, read in failing.items():
+                out[name] = _outcome(read)
+        return out, pool.submitted
+
+    one, submitted = read_all(1)
+    assert submitted == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the caller and the pool thread interleave often
+    try:
+        two, submitted = read_all(2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert submitted > 100
+    assert one.keys() == two.keys()
+    for key in one:
+        assert one[key] == two[key], key
+    for name in failing:
+        rows, error, message = one[name]
+        assert rows and error is not None and re.match(r"\S+@\d+: ", message), (name, error, message)

@@ -15,6 +15,7 @@ from archfmt.rarc import (
     resync,
     write_rarc,
 )
+from conftest import at_threads
 from test_carc import PROJECTIONS, SCHEMA, _detached, _predicates, make_rows, with_bad_utf8
 from archfmt.carc import ScanPredicate
 
@@ -74,7 +75,7 @@ def test_roundtrip_2500(tmp_path):
     assert m.seek_count == 1
 
 
-def test_truncated_mid_block(tmp_path):
+def test_truncated_mid_block(tmp_path, threads):
     rows = make_rows(300, seed=6)
     path = tmp_path / "full.rarc"
     write_rarc(rows, SCHEMA, path, rows_per_block=100)
@@ -96,7 +97,7 @@ def test_empty_after_header(tmp_path):
     assert list(read_rarc(empty)) == []
 
 
-def test_resync_from_zero_and_eof(tmp_path):
+def test_resync_from_zero_and_eof(tmp_path, threads):
     rows = make_rows(777, seed=7)
     path = tmp_path / "r.rarc"
     write_rarc(rows, SCHEMA, path, rows_per_block=50)
@@ -105,7 +106,7 @@ def test_resync_from_zero_and_eof(tmp_path):
     assert list(resync(path, os.path.getsize(path))) == []
 
 
-def test_resync_midpoint_partition(tmp_path):
+def test_resync_midpoint_partition(tmp_path, threads):
     rows = make_rows(900, seed=8)
     path = tmp_path / "m.rarc"
     write_rarc(rows, SCHEMA, path, rows_per_block=64)
@@ -128,7 +129,7 @@ def test_roundtrip_all_options(tmp_path, rows_per_block, codec):
     assert list(read_rarc(path)) == rows
 
 
-def test_split_partition_100_points(tmp_path):
+def test_split_partition_100_points(tmp_path, threads):
     rows = make_rows(600, seed=9)
     path = tmp_path / "split.rarc"
     write_rarc(rows, SCHEMA, path, rows_per_block=37)
@@ -241,7 +242,7 @@ def test_hostile_lengths_are_typed(tmp_path, where, value, error):
         list(read_rarc(path))
 
 
-def test_mutation_fuzz_raises_only_typed_errors(tmp_path):
+def test_mutation_fuzz_raises_only_typed_errors(tmp_path, threads):
     path = tmp_path / "f.rarc"
     write_rarc(make_rows(120, seed=31), SCHEMA, path, rows_per_block=16)
     data, hlen, heads = _block_heads(path)
@@ -266,7 +267,7 @@ def test_mutation_fuzz_raises_only_typed_errors(tmp_path):
                 assert located.match(str(exc)), str(exc)
 
 
-def test_resync_streams_and_stops_with_its_caller(tmp_path, monkeypatch):
+def test_resync_streams_and_stops_with_its_caller(tmp_path, monkeypatch, threads):
     monkeypatch.setattr(rarc_mod, "_READ_CHUNK", 64)
     rows = make_rows(900, seed=8)
     path = tmp_path / "s.rarc"
@@ -283,8 +284,35 @@ def test_resync_streams_and_stops_with_its_caller(tmp_path, monkeypatch):
     assert tracker.bytes_read < size // 2
 
 
+def test_a_reader_closed_after_its_first_block_reads_at_most_one_block_more_at_two_threads(tmp_path, monkeypatch):
+    """A reader closed early may have read one block more than it yielded,
+    and no more seeks: at 2 threads, read_rarc and resync read the
+    block after the one they stopped in, to inflate it beside it."""
+    monkeypatch.setattr(rarc_mod, "_READ_CHUNK", 64)
+    rows = make_rows(120, seed=18)
+    path = tmp_path / "e.rarc"
+    write_rarc(rows, SCHEMA, path, rows_per_block=16)
+    _, _, heads = _block_heads(path)
+    size = os.path.getsize(path)
+    largest = max(b - a for a, b in zip(heads, heads[1:] + [size]))  # a block's head, payload and marker
+    reads = {"read_rarc": lambda t: read_rarc(path, t), "resync": lambda t: resync(path, heads[2] - 5, t)}
+    for name, read in reads.items():
+        io = {}
+        for n in (1, 2):
+            with at_threads(n) as pool:
+                tracker = IoTracker()
+                reader = read(tracker)
+                for _ in range(16):  # the first block's rows
+                    next(reader)
+                reader.close()
+            io[n] = tracker.bytes_read, tracker.seek_count
+            assert pool.submitted == n - 1, name
+        (bytes1, seeks1), (bytes2, seeks2) = io[1], io[2]
+        assert seeks2 == seeks1 and bytes1 < bytes2 <= bytes1 + largest, (name, io)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 16, 17])
-def test_resync_partitions_with_small_read_chunks(tmp_path, monkeypatch, chunk):
+def test_resync_partitions_with_small_read_chunks(tmp_path, monkeypatch, chunk, threads):
     monkeypatch.setattr(rarc_mod, "_READ_CHUNK", chunk)
     rows = make_rows(300, seed=14)
     path = tmp_path / "c.rarc"
@@ -301,7 +329,7 @@ def test_resync_partitions_with_small_read_chunks(tmp_path, monkeypatch, chunk):
         assert hi == rows[len(rows) - len(hi) :]
 
 
-def test_resync_passes_a_false_marker_with_a_bad_length(tmp_path):
+def test_resync_passes_a_false_marker_with_a_bad_length(tmp_path, threads):
     path = tmp_path / "x.rarc"
     write_rarc([], SCHEMA, path, codec="none")
     with open(path, "rb") as fh:
@@ -317,7 +345,7 @@ def test_resync_passes_a_false_marker_with_a_bad_length(tmp_path):
 
 
 @pytest.mark.parametrize("chunk", [7, 1 << 16])
-def test_resync_ranges_tile_the_file_and_yield_every_row_once(tmp_path, monkeypatch, chunk):
+def test_resync_ranges_tile_the_file_and_yield_every_row_once(tmp_path, monkeypatch, chunk, threads):
     """Readers over [a, b) ranges that tile the file need no trimming: each
     yields the blocks that start in its range, and together every row once."""
     monkeypatch.setattr(rarc_mod, "_READ_CHUNK", chunk)
