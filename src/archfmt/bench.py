@@ -20,9 +20,10 @@ import uuid
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import cdx, query, warc
+from .carc import ordered_map
 from .convert import utc_fields
 from .errors import BadCsv, EquivalenceFailure, IoFailure, Unachievable
 from .iostats import Measurement
@@ -35,6 +36,7 @@ CSV_HEADER = [
 ]
 
 _FILE_BYTES = 100 << 20  # split WARC output at ~100 MiB compressed
+_RUN_BYTES = 256 << 10  # the serialized records generate_corpus gzips as one unit
 
 # 2018-05-20T00:00:00Z .. 2018-05-23T00:00:00Z
 _DEFAULT_RANGE = (1526774400000, 1527033600000)
@@ -130,13 +132,27 @@ class _Synth:
 
 
 def generate_corpus(spec: SyntheticSpec, out_dir) -> list[str]:
-    """Write the corpus as member-gzip WARC files, ~100 MiB compressed each."""
+    """Write the corpus as member-gzip WARC files, ~100 MiB compressed each.
+    Each record is gzipped alone (mtime 0) through carc.ordered_map, in runs
+    of _RUN_BYTES, so the files hold the same bytes at any thread count."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     synth = _Synth(spec)
     paths: list[str] = []
     out = None
     written = 0
+
+    def runs() -> Iterator[list[bytes]]:
+        run, size = [], 0
+        for i in range(spec.record_count):
+            run.append(warc.serialize_record(synth.record(i)))
+            size += len(run[-1])
+            if size >= _RUN_BYTES:
+                yield run
+                run, size = [], 0
+        if run:
+            yield run
+
     try:
         def open_next():
             nonlocal out, written
@@ -149,14 +165,14 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> list[str]:
             return out
 
         out = open_next()
-        for i in range(spec.record_count):
-            member = gzip.compress(
-                warc.serialize_record(synth.record(i)), compresslevel=warc.GZIP_LEVEL, mtime=0
-            )
-            if written and written + len(member) > _FILE_BYTES:
-                out = open_next()
-            out.write(member)
-            written += len(member)
+        batches = ordered_map(lambda run: [gzip.compress(r, compresslevel=warc.GZIP_LEVEL, mtime=0) for r in run],
+                              runs(), lambda run: sum(map(len, run)))
+        for batch in batches:
+            for member in batch:
+                if written and written + len(member) > _FILE_BYTES:
+                    out = open_next()
+                out.write(member)
+                written += len(member)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     finally:

@@ -33,8 +33,9 @@ import struct
 import zlib
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -329,6 +330,18 @@ def compress(raw: bytes, codec: str, level: int) -> bytes:
     return zlib.compress(raw, level) if codec == "gzip" else raw
 
 
+@contextmanager
+def created(path: str) -> Iterator:
+    """path opened to write, and removed if the writing fails."""
+    out = open(path, "wb")
+    try:
+        with out:
+            yield out
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
 def _inflatable(clen: int, ulen: int, codec: str) -> bool:
     """Whether clen stored bytes of codec can hold ulen raw bytes."""
     return ulen == clen if codec == "none" else ulen <= _MAX_INFLATE * clen + 64
@@ -356,9 +369,9 @@ def inflate(stored, ulen: int, codec: str) -> bytes:
     return raw
 
 
-# ordered_map decodes one unit ahead in _POOL where this process may run on more than one CPU
+# ordered_map computes one unit ahead in _POOL where this process may run on more than one CPU
 _PARALLEL = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) > 1
-_INLINE_BYTES = 128 << 10  # a unit that inflates to fewer bytes runs in the caller
+_INLINE_BYTES = 128 << 10  # a unit of fewer raw bytes runs in the caller
 _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="archfmt-decode")
 _END = object()
 
@@ -366,9 +379,11 @@ _END = object()
 def ordered_map(fn: Callable, units: Iterable, size: Callable[..., int]) -> Iterator:
     """fn(unit) for each of units, in their order.  Under _PARALLEL the
     units go in pairs: the calling thread computes the first while _POOL
-    computes the second, if it inflates to size(unit) >= _INLINE_BYTES
-    bytes (a smaller one runs in the caller too).  zlib releases the
-    interpreter lock, so the pool's inflate runs beside the caller's.
+    computes the second, if its size(unit) >= _INLINE_BYTES (a smaller one
+    runs in the caller too).  size is the raw length a unit inflates to on
+    the read side, and the raw length it deflates on the write side (0 for
+    codec none, which deflates nothing).  zlib releases the interpreter
+    lock, so the pool's inflate or deflate runs beside the caller's.
 
     So at most two units are in flight, and units is read at most one unit
     ahead of the results yielded.  An exception from units is raised after
@@ -529,36 +544,19 @@ def write_carc(
     sort_key: Optional[str] = None,
     compresslevel: int = 3,
 ) -> str:
-    """Stream rows into a CARC file; verifies sort_key order when claimed."""
+    """Stream rows into a CARC file; verifies sort_key order when claimed.
+    Pages are encoded in the calling thread and each is compressed alone
+    through ordered_map, so the bytes do not depend on the thread count.
+    SchemaMismatch and UnsortedInput come at their row; on any error the
+    file is removed."""
     if codec not in CODEC_ID:
         raise SchemaMismatch(f"unknown codec {codec!r}")
     out_path = str(out_path)
     sort_idx = schema.index_of(sort_key) if sort_key else None
     ncols = len(schema.columns)
 
-    groups: list[RowGroupMeta] = []
-    prev_key = None
-
-    with open(out_path, "wb") as out:
-        out.write(MAGIC)
-        buffer: list[Sequence] = []
-
-        def flush():
-            if not buffer:
-                return
-            chunks = []
-            for ci, col in enumerate(schema.columns):
-                offset, pages, nulls = out.tell(), [], 0
-                for values in _pages([r[ci] for r in buffer], col):
-                    raw, n, mn, mx = _encode_chunk(values, col)
-                    stored = compress(raw, codec, compresslevel)
-                    out.write(stored)
-                    pages.append(PageMeta(len(values), len(stored), len(raw), mn, mx))
-                    nulls += n
-                chunks.append(_chunk_meta(offset, nulls, pages))
-            groups.append(RowGroupMeta(len(buffer), chunks))
-            buffer.clear()
-
+    def checked() -> Iterator[tuple]:
+        prev_key = None
         for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise SchemaMismatch(f"row has {len(row)} fields, schema has {ncols}")
@@ -570,10 +568,32 @@ def write_carc(
                     raise UnsortedInput(i)
                 if key is not None:
                     prev_key = key
-            buffer.append(tuple(row))
-            if len(buffer) >= rows_per_group:
-                flush()
-        flush()
+            yield tuple(row)
+
+    def encoded() -> Iterator[tuple]:
+        """Each page of each group, in file order: (rows, raw bytes, null
+        count, min, max, whether it closes its column's chunk)."""
+        it = checked()
+        for group in iter(lambda: list(islice(it, rows_per_group)), []):
+            for ci, col in enumerate(schema.columns):
+                cut = list(_pages([r[ci] for r in group], col))
+                for k, values in enumerate(cut):
+                    yield (len(values), *_encode_chunk(values, col), k == len(cut) - 1)
+
+    chunks, pages, nulls = [], [], 0
+    with created(out_path) as out:
+        out.write(MAGIC)
+        stored_pages = ordered_map(lambda page: (page, compress(page[1], codec, compresslevel)), encoded(),
+                                   lambda page: 0 if codec == "none" else len(page[1]))
+        for (n, raw, page_nulls, mn, mx, closes), stored in stored_pages:
+            out.write(stored)
+            pages.append(PageMeta(n, len(stored), len(raw), mn, mx))
+            nulls += page_nulls
+            if closes:
+                chunks.append(_chunk_meta(out.tell() - sum(p.compressed_len for p in pages), nulls, pages))
+                pages, nulls = [], 0
+        groups = [RowGroupMeta(sum(p.row_count for p in chunks[k].pages), chunks[k : k + ncols])
+                  for k in range(0, len(chunks), ncols)]
         _write_footer(out, CarcFooter(schema, groups, sum(g.row_count for g in groups), sort_key, codec))
     return out_path
 

@@ -330,12 +330,8 @@ def convert(
                 seed=seed,
                 compresslevel=compresslevel,
             )
-    except BaseException as exc:
-        if out_path.exists():
-            out_path.unlink()
-        if isinstance(exc, OSError):
-            raise IoFailure(f"converting to {out_path}: {exc}") from exc
-        raise
+    except OSError as exc:  # the writer has removed its partial output
+        raise IoFailure(f"converting to {out_path}: {exc}") from exc
 
     manifest = Manifest(
         inputs=warc_files,

@@ -17,12 +17,13 @@ from __future__ import annotations
 import os
 import random
 import struct
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .carc import (
     CODEC_ID, CTYPES, _CODEC_NAME, _DECODE_ERRORS, _LEN_STRUCT, CarcSchema, ScanPredicate, _check_value, compress,
-    inflate, ordered_map,
+    created, inflate, ordered_map,
 )
 from .errors import BadMagic, DecompressFailure, SchemaMismatch, SyncLost
 from .iostats import IoTracker
@@ -117,12 +118,10 @@ def decode_rows(
     return out
 
 
-def encode_block(
-    rows: Sequence[Sequence], schema: CarcSchema, codec: str, sync: bytes, compresslevel: int = 3
-) -> bytes:
-    raw = encode_rows(rows, schema)
+def encode_block(count: int, raw: bytes, codec: str, sync: bytes, compresslevel: int = 3) -> bytes:
+    """The framed block of count rows whose encoding (encode_rows) is raw."""
     stored = compress(raw, codec, compresslevel)
-    return _BLOCK_HEAD.pack(len(rows), len(raw), len(stored)) + stored + sync
+    return _BLOCK_HEAD.pack(count, len(raw), len(stored)) + stored + sync
 
 
 def write_rarc(
@@ -134,23 +133,23 @@ def write_rarc(
     seed: int = 0,
     compresslevel: int = 3,
 ) -> str:
-    """Stream rows into an RARC file; the sync marker derives from seed."""
+    """Stream rows into an RARC file; the sync marker derives from seed.
+    Blocks are encoded in the calling thread and each is compressed alone
+    through ordered_map, so the bytes do not depend on the thread count.
+    On any error the file is removed."""
     if codec not in CODEC_ID:
         raise SchemaMismatch(f"unknown codec {codec!r}")
     out_path = str(out_path)
     sync = random.Random(seed).randbytes(SYNC_LEN)
     schema_text = schema.to_text().encode("utf-8")
-    with open(out_path, "wb") as out:
+    it = map(tuple, rows)
+    encoded = ((len(b), encode_rows(b, schema)) for b in iter(lambda: list(islice(it, rows_per_block)), []))
+    with created(out_path) as out:
         head = _HEADER.pack(MAGIC, VERSION, CODEC_ID[codec], len(schema_text))
         out.write(head + schema_text + sync)
-        buffer: list[Sequence] = []
-        for row in rows:
-            buffer.append(tuple(row))
-            if len(buffer) >= rows_per_block:
-                out.write(encode_block(buffer, schema, codec, sync, compresslevel))
-                buffer.clear()
-        if buffer:
-            out.write(encode_block(buffer, schema, codec, sync, compresslevel))
+        for block in ordered_map(lambda unit: encode_block(*unit, codec, sync, compresslevel), encoded,
+                                 lambda unit: 0 if codec == "none" else len(unit[1])):
+            out.write(block)
     return out_path
 
 

@@ -30,7 +30,9 @@ _VERSION_LINES = (b"WARC/1.0\r\n", b"WARC/1.1\r\n")
 _WS = " \t\n\r\x0b\x0c"  # what bytes.strip() strips
 GZIP_LEVEL = 6
 _READ_CHUNK = 1 << 20
-_INFLATE_SLICE = 1 << 16  # bounds the copy zlib makes of the input after a member
+# zlib copies the unused rest of its input slice after each member: ~15 KB for
+# a 1 KB member; a 64 KiB slice copied 63 KB and scanned such members 5% slower
+_INFLATE_SLICE = 1 << 14
 _MAX_HEADER = 1 << 20
 
 

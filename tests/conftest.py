@@ -1,5 +1,7 @@
+import hashlib
 import random
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +94,17 @@ def at_threads(n, gate=0):
         mp.setattr(carc, "_INLINE_BYTES", gate)
         mp.setattr(carc, "_POOL", pool)
         yield pool
+
+
+def written_at_one_and_two_threads(write):
+    """The SHA-256 of each file write(n) writes and returns, at n = 1 and 2
+    threads (see at_threads: at gate 0 every unit takes the pool), and the
+    number of units the 2-thread pass sent to the pool."""
+    digests = {}
+    for n in (1, 2):
+        with at_threads(n) as pool:
+            digests[n] = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in write(n)]
+    return digests, pool.submitted
 
 
 @pytest.fixture(params=[1, 2], ids=["1thread", "2threads"])

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from archfmt import cdx
+from archfmt import bench, cdx
 from archfmt.bench import (
     CSV_HEADER,
     SuiteConfig,
@@ -19,6 +19,7 @@ from archfmt.errors import BadCsv, Unachievable
 from archfmt.iostats import IoTracker
 from archfmt.query import DatasetPaths
 from archfmt.warc import scan_warc
+from conftest import written_at_one_and_two_threads
 
 
 def test_zero_records_one_valid_empty_file(tmp_path):
@@ -35,6 +36,24 @@ def test_generator_determinism(tmp_path):
     for fa, fb in zip(a, b):
         with open(fa, "rb") as x, open(fb, "rb") as y:
             assert x.read() == y.read()
+
+
+def test_generated_files_are_byte_identical_at_one_and_two_threads(tmp_path, monkeypatch):
+    """Each record is gzipped alone, with mtime 0, so the files hold the same
+    bytes at any thread count, and the file split falls between the same
+    members."""
+    monkeypatch.setattr(bench, "_FILE_BYTES", 60_000)
+    spec = SyntheticSpec(record_count=300, payload_mean_bytes=1200, seed=42)
+    files = {}
+
+    def write(n):
+        files[n] = generate_corpus(spec, tmp_path / str(n))
+        return files[n]
+
+    digests, submitted = written_at_one_and_two_threads(write)
+    assert digests[1] == digests[2] and submitted > 0
+    assert len(files[2]) > 3 and all(os.path.getsize(f) <= 60_000 for f in files[2])
+    assert sum(1 for f in files[2] for _ in scan_warc(f)) == 300
 
 
 def test_html_fraction_exact(tmp_path):

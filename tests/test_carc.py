@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import math
 import random
 import re
@@ -31,12 +33,13 @@ from archfmt.errors import (
     BadMagic,
     DecompressFailure,
     FooterCorrupt,
+    SchemaMismatch,
     StatlessColumn,
     UnknownColumn,
     UnsortedInput,
 )
 from archfmt.iostats import IoTracker
-from conftest import at_threads
+from conftest import at_threads, written_at_one_and_two_threads
 
 SCHEMA = CarcSchema(
     columns=(
@@ -615,6 +618,104 @@ def test_read_carc_closed_after_its_first_page_reads_no_more_at_two_threads(tmp_
             io[n, pred is None] = tracker.bytes_read, tracker.seek_count
             assert pool.submitted >= (n - 1) * len(SCHEMA.columns)
     assert io[1, True] == io[2, True] and io[1, False] == io[2, False]
+
+
+# --- parallel compress: the writers through carc.ordered_map -------------------
+
+ONE_COLUMN = CarcSchema(columns=(Column("urlkey", "STRING", False),))
+
+
+@pytest.mark.parametrize("case", ["groups", "one_column"])
+def test_write_carc_is_byte_identical_at_one_and_two_threads(tmp_path, monkeypatch, case):
+    """Each page is compressed alone, so the file's bytes do not depend on
+    the thread count; a one-column schema keeps one chunk per group."""
+    monkeypatch.setattr(carc, "PAGE_ROWS", 8)
+    rows = sorted(make_rows(300, seed=31), key=lambda r: r[1])
+    schema, sort_key = SCHEMA, "timestamp"
+    if case == "one_column":
+        rows, schema, sort_key = [r[:1] for r in rows], ONE_COLUMN, None
+    paths = {}
+
+    def write(n):
+        paths[n] = write_carc(rows, schema, tmp_path / f"{n}.carc", rows_per_group=64, sort_key=sort_key)
+        return [paths[n]]
+
+    digests, submitted = written_at_one_and_two_threads(write)
+    assert digests[1] == digests[2] and submitted > 0
+    footer = read_footer(paths[2])
+    assert [g.row_count for g in footer.row_groups] == [64, 64, 64, 64, 44]
+    assert all(len(g.chunks) == len(schema.columns) and len(g.chunks[0].pages) > 1 for g in footer.row_groups)
+    if case == "groups":
+        assert 0 < sum(c.null_count for g in footer.row_groups for c in g.chunks)  # the nullable note column
+    assert list(read_carc(paths[2])) == [tuple(r) for r in rows]
+
+
+@pytest.mark.parametrize("error", ["unsorted", "schema", "source"])
+def test_write_carc_error_leaves_no_file_and_the_pool_free(tmp_path, monkeypatch, threads, error):
+    """UnsortedInput and SchemaMismatch are raised at their row, and an error
+    of the row source as raised, after earlier groups went through the pool;
+    the partial file is removed."""
+    monkeypatch.setattr(carc, "PAGE_ROWS", 8)
+    rows, bad = make_rows(200, seed=5, ts=list(range(200))), 150
+    if error == "unsorted":
+        rows[bad] = (rows[bad][0], 0, *rows[bad][2:])
+    elif error == "schema":
+        rows[bad] = rows[bad][:3]
+
+    def source():
+        for i, row in enumerate(rows):
+            if error == "source" and i == bad:
+                raise RuntimeError("the row source failed")
+            yield row
+
+    path = tmp_path / "e.carc"
+    expected = {"unsorted": UnsortedInput, "schema": SchemaMismatch, "source": RuntimeError}[error]
+    with pytest.raises(expected) as exc:
+        write_carc(source(), SCHEMA, path, rows_per_group=50, sort_key="timestamp")
+    if error == "unsorted":
+        assert exc.value.row_index == bad
+    assert not path.exists()
+    assert carc._POOL.submitted > 0 if threads == 2 else carc._POOL.submitted == 0
+    assert carc._POOL.submit(int).result(timeout=10) == 0
+
+
+class FullDisk(io.FileIO):
+    """A file whose writes fail once its first bytes, the header, are written."""
+
+    def write(self, b):
+        if self.tell():
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(b)
+
+
+@pytest.mark.parametrize("writer", ["carc", "rarc"])
+def test_a_write_failing_while_the_pool_compresses_returns_without_waiting(tmp_path, monkeypatch, writer):
+    """The first unit's write fails while the pool still compresses the
+    second: the writer removes its file and returns without waiting, and the
+    pool is free once its unit ends."""
+    from archfmt import rarc
+
+    release = threading.Event()
+    real = carc.compress
+
+    def held(raw, codec, level):
+        if threading.current_thread().name.startswith("archfmt-decode"):
+            release.wait(10)
+        return real(raw, codec, level)
+
+    monkeypatch.setattr(carc, "compress", held)
+    monkeypatch.setattr(rarc, "compress", held)
+    monkeypatch.setattr(carc, "open", lambda path, mode: FullDisk(path, "w"), raising=False)
+    path = tmp_path / f"f.{writer}"
+    write = write_carc if writer == "carc" else lambda rows, schema, path: rarc.write_rarc(rows, schema, path, 10)
+    with at_threads(2) as pool:
+        began = time.monotonic()
+        with pytest.raises(OSError, match="No space"):
+            write(make_rows(100, seed=8), SCHEMA, path)
+        assert time.monotonic() - began < 5 and pool.submitted == 1
+    assert not path.exists()
+    release.set()
+    assert carc._POOL.submit(int).result(timeout=10) == 0
 
 
 # A file of two rows (urlkey STRING, timestamp INT64; codec none) as the

@@ -22,7 +22,7 @@ from archfmt.errors import BadDate, IoFailure
 from archfmt.httpmsg import payload_digest
 from archfmt.warc import make_record, scan_warc, write_warc
 
-from conftest import request_record, synth_records
+from conftest import request_record, synth_records, written_at_one_and_two_threads
 
 
 def test_parse_warc_date_epoch():
@@ -198,21 +198,32 @@ def test_convert_submodule_is_not_shadowed():
     assert callable(module.convert)
 
 
-def test_write_failure_is_io_failure_without_partial_output(tmp_path, monkeypatch):
-    import errno
+def test_write_failure_is_io_failure_without_partial_output(tmp_path, monkeypatch, threads):
+    """A write of block bytes that fails (here the disk is full once the
+    header is written; at 2 threads the next block is in the pool) is an
+    IoFailure naming the output, and no partial output is left."""
+    import archfmt.carc
 
-    import archfmt.rarc
-
-    def full_disk(*args, **kwargs):
-        raise OSError(errno.ENOSPC, "No space left on device")
+    from test_carc import FullDisk
 
     path = tmp_path / "in.warc"
     write_warc(synth_records(5), path, mode="plain")
-    monkeypatch.setattr(archfmt.rarc, "encode_block", full_disk)
+    monkeypatch.setattr(archfmt.carc, "open", lambda file, mode: FullDisk(file, "w"), raising=False)  # the writers' open
     with pytest.raises(IoFailure) as exc:
-        convert([path], "rarc", tmp_path / "out")
+        convert([path], "rarc", tmp_path / "out", rows_per_block=1)
     assert "data.rarc" in str(exc.value)
     assert not (tmp_path / "out" / "data.rarc").exists()
+    assert archfmt.carc._POOL.submit(int).result(timeout=10) == 0
+
+
+@pytest.mark.parametrize("target", ["carc", "rarc"])
+def test_convert_is_byte_identical_at_one_and_two_threads(corpus, tmp_path, target):
+    files = corpus["paths"].warc_files
+    digests, submitted = written_at_one_and_two_threads(
+        lambda n: [convert(files, target, tmp_path / str(n), sort="timestamp", rows_per_group=64,
+                           rows_per_block=50).output]
+    )
+    assert digests[1] == digests[2] and submitted > 0
 
 
 def _response(status=b"200", date="2018-05-21T08:00:00Z"):

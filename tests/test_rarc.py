@@ -6,16 +6,18 @@ import struct
 import pytest
 
 import archfmt.rarc as rarc_mod
-from archfmt.errors import ArchfmtError, BadMagic, DecompressFailure, SyncLost, UnknownColumn
+from archfmt import carc
+from archfmt.errors import ArchfmtError, BadMagic, DecompressFailure, SchemaMismatch, SyncLost, UnknownColumn
 from archfmt.iostats import IoTracker
 from archfmt.rarc import (
     encode_block,
+    encode_rows,
     read_header,
     read_rarc,
     resync,
     write_rarc,
 )
-from conftest import at_threads
+from conftest import at_threads, written_at_one_and_two_threads
 from test_carc import PROJECTIONS, SCHEMA, _detached, _predicates, make_rows, with_bad_utf8
 from archfmt.carc import ScanPredicate
 
@@ -153,7 +155,8 @@ def test_concatenatability(tmp_path):
         schema, codec, sync, _ = read_header(fh, str(a))
     blob = bytearray(a.read_bytes())
     for start in range(0, len(rows_b), 50):
-        blob += encode_block(rows_b[start : start + 50], schema, codec, sync)
+        block = rows_b[start : start + 50]
+        blob += encode_block(len(block), encode_rows(block, schema), codec, sync)
     merged = tmp_path / "merged.rarc"
     merged.write_bytes(bytes(blob))
     assert list(read_rarc(merged)) == rows_a + rows_b
@@ -369,3 +372,52 @@ def test_resync_ranges_tile_the_file_and_yield_every_row_once(tmp_path, monkeypa
     tracker = IoTracker()
     assert list(resync(path, 0, tracker, end=heads[1])) == rows[:23]
     assert tracker.bytes_read < heads[2]
+
+
+# --- parallel compress --------------------------------------------------------
+
+@pytest.mark.parametrize("codec", ["gzip", "none"])
+def test_write_rarc_is_byte_identical_at_one_and_two_threads(tmp_path, codec):
+    """Each block is compressed alone, so the file's bytes do not depend on
+    the thread count."""
+    rows = make_rows(300, seed=33)
+    digests, submitted = written_at_one_and_two_threads(
+        lambda n: [write_rarc(rows, SCHEMA, tmp_path / f"{n}.rarc", rows_per_block=20, codec=codec, seed=4)]
+    )
+    assert digests[1] == digests[2] and submitted > 0  # at gate 0 even a codec-none block takes the pool
+    assert list(read_rarc(tmp_path / "2.rarc")) == rows
+
+
+def test_a_codec_none_block_runs_in_the_caller(tmp_path):
+    """A codec-none block has nothing to deflate, so, however large, it is
+    framed in the caller: as convert's spill runs are written, one row a
+    block of over 128 KiB; a gzip block of that size takes the pool."""
+    rng = random.Random(5)
+    rows = [(f"com,big)/{i}", i, None, rng.randbytes(200 << 10)) for i in range(4)]
+    for codec, submitted in (("none", 0), ("gzip", 2)):
+        with at_threads(2, gate=128 << 10) as pool:
+            path = write_rarc(rows, SCHEMA, tmp_path / f"{codec}.rarc", rows_per_block=1, codec=codec)
+        assert pool.submitted == submitted, codec
+        assert list(read_rarc(path)) == rows
+
+
+@pytest.mark.parametrize("error", ["schema", "source"])
+def test_write_rarc_error_leaves_no_file_and_the_pool_free(tmp_path, threads, error):
+    """A SchemaMismatch, or an error of the row source, raised after earlier
+    blocks went through the pool, removes the partial file."""
+    rows, bad = make_rows(200, seed=6), 150
+    if error == "schema":
+        rows[bad] = rows[bad][:3]
+
+    def source():
+        for i, row in enumerate(rows):
+            if error == "source" and i == bad:
+                raise RuntimeError("the row source failed")
+            yield row
+
+    path = tmp_path / "e.rarc"
+    with pytest.raises(SchemaMismatch if error == "schema" else RuntimeError):
+        write_rarc(source(), SCHEMA, path, rows_per_block=20)
+    assert not path.exists()
+    assert carc._POOL.submitted > 0 if threads == 2 else carc._POOL.submitted == 0
+    assert carc._POOL.submit(int).result(timeout=10) == 0
