@@ -24,6 +24,22 @@ and inflates of each other projected chunk only the pages that hold the
 matching rows.  The footer also holds the format version; a file of
 another version (1 to 3 had other page or footer layouts) is BadMagic
 naming its version.
+
+A predicate page is matched without building its values where it can
+(_match_page): after the bitmap, the lengths and the page's end are
+checked, a page with every value present is tested on its unpacked INT64
+values, or, for a set of at most _FIND_KEYS non-empty strings on a
+STRING page whose values are all ASCII (so all UTF-8), searched for each
+key's bytes, a hit counting only where a value starts and ends, until
+more than one value in _FIND_SHARE is a hit.  A page with nulls or
+non-ASCII values, under more keys or the empty key, under a range on a
+STRING column, or with that many hits, is decoded whole and tested with
+ScanPredicate.matching, which raises any error its values hold.
+
+Every read reads the trailer and footer and checks the CRC.  read_carc
+decodes the footer through _footer_of, once per distinct footer bytes and
+data end among the last FOOTER_MEMO, so reads of an unchanged file in one
+process share one footer; read_footer decodes a footer of the caller's own.
 """
 
 from __future__ import annotations
@@ -35,6 +51,7 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -56,6 +73,7 @@ TRAILER_LEN = 16  # crc u32 + footer_len u64 + magic
 STAT_TRUNCATE = 64  # bytes kept of STRING min/max
 PAGE_ROWS = 1024  # a page closes at this many rows,
 PAGE_BYTES = 256 << 10  # or once its encoded values reach this many bytes
+FOOTER_MEMO = 1  # decoded footers kept, each with the bytes it was decoded from
 _LEN_STRUCT = struct.Struct("<I")
 _CHUNK_STRUCT = struct.Struct("<QI")  # a chunk's null count and page count
 _PAGE_STRUCT = struct.Struct("<IQQ")  # a page's row count, compressed and uncompressed length
@@ -164,6 +182,19 @@ class ScanPredicate:
             raise SchemaMismatch(f"column {self.column}: bounds of type {type(self.lo).__name__} "
                                  f"cannot bound {value!r}") from None
 
+    def matching(self, values: Sequence) -> list[int]:
+        """The ascending indices of the values that pass: [i for i, v in
+        enumerate(values) if self.matches(v)], in one comprehension, and
+        raising what matches raises at the same value."""
+        if self._members is not None:
+            members = self._members
+            return [i for i, v in enumerate(values) if v is not None and v in members]
+        lo, hi = self.lo, self.hi
+        try:
+            return [i for i, v in enumerate(values) if v is not None and lo <= v <= hi]
+        except TypeError:  # matches names the first value the bounds cannot compare with
+            return [i for i, v in enumerate(values) if self.matches(v)]
+
     @classmethod
     def range(cls, column, lo, hi) -> "ScanPredicate":
         return cls(column=column, lo=lo, hi=hi)
@@ -267,17 +298,11 @@ def _truncate_max(b: bytes) -> Optional[bytes]:
     return None  # all 0xFF: no finite upper bound
 
 
-def _decode_chunk(
-    raw: bytes, col: Column, row_count: int, bytes_view: bool = False, rows: Optional[Sequence[int]] = None
-) -> list:
-    """The values of one raw page at the ascending row indices rows (every
-    row when None): None where the bitmap marks a null.
-
-    The bitmap, the lengths array and the page's end are checked whatever
-    rows holds: the lengths must frame the page exactly.  Only the values
-    returned are built, so a STRING value is checked to be UTF-8 only when
-    it is returned.
-    """
+def _frame(raw: bytes, col: Column, row_count: int) -> tuple[int, Sequence[int]]:
+    """(present, framed) of one raw page: the count of its present values,
+    and the values themselves for INT64, else where each value starts, then
+    the page's end.  The bitmap, the lengths array and the page's end are
+    checked: the lengths must frame the page exactly."""
     bitmap_len = (row_count + 7) // 8
     bits = int.from_bytes(raw[:bitmap_len], "little")
     if len(raw) < bitmap_len or bits >> row_count:
@@ -286,17 +311,35 @@ def _decode_chunk(
     if present < row_count and not col.nullable:
         raise DecompressFailure(f"null in non-nullable column {col.name}")
     if col.ctype == "INT64":
-        ints = struct.unpack_from(f"<{present}q", raw, bitmap_len)
+        framed = struct.unpack_from(f"<{present}q", raw, bitmap_len)
         pos = bitmap_len + 8 * present
     else:
         lengths = struct.unpack_from(f"<{present}I", raw, bitmap_len)
-        bounds = list(accumulate(lengths, initial=bitmap_len + 4 * present))  # where each value starts, then the end
-        pos = bounds[-1]
-        # slice through a memoryview: avoids materializing intermediate copies
-        # of the (potentially large) page body
-        view = memoryview(raw)
+        framed = list(accumulate(lengths, initial=bitmap_len + 4 * present))
+        pos = framed[-1]
     if pos != len(raw):
         raise DecompressFailure(f"the page's values end at byte {pos}, not at its end {len(raw)}")
+    return present, framed
+
+
+def _decode_chunk(
+    raw: bytes, col: Column, row_count: int, bytes_view: bool = False, rows: Optional[Sequence[int]] = None
+) -> list:
+    """The values of one raw page at the ascending row indices rows (every
+    row when None): None where the bitmap marks a null.
+
+    The page is checked by _frame whatever rows holds.  Only the values
+    returned are built, so a STRING value is checked to be UTF-8 only when
+    it is returned.
+    """
+    return _framed_values(raw, col, row_count, *_frame(raw, col, row_count), bytes_view, rows)
+
+
+def _framed_values(
+    raw: bytes, col: Column, row_count: int, present: int, framed: Sequence[int],
+    bytes_view: bool = False, rows: Optional[Sequence[int]] = None,
+) -> list:
+    """_decode_chunk's values, from the (present, framed) _frame gave."""
     if present == row_count:
         at = range(present) if rows is None else rows  # the index among the present values of each row
     else:
@@ -309,11 +352,78 @@ def _decode_chunk(
                 slot.append(None)
         at = slot if rows is None else [slot[i] for i in rows]
     if col.ctype == "INT64":
-        return [None if k is None else ints[k] for k in at]
+        return [None if k is None else framed[k] for k in at]
+    # slice through a memoryview: avoids materializing intermediate copies
+    # of the (potentially large) page body
+    view = memoryview(raw)
     if col.ctype == "STRING":
-        return [None if k is None else str(view[bounds[k] : bounds[k + 1]], "utf-8") for k in at]
+        return [None if k is None else str(view[framed[k] : framed[k + 1]], "utf-8") for k in at]
     cut = view if bytes_view else raw  # a slice of the bytes raw is a copy
-    return [None if k is None else cut[bounds[k] : bounds[k + 1]] for k in at]
+    return [None if k is None else cut[framed[k] : framed[k + 1]] for k in at]
+
+
+_FIND_KEYS = 20  # the most keys a predicate page is searched for; with more it is decoded and tested whole
+_FIND_SHARE = 32  # a search stops, and the page is decoded whole, past one hit in this many values
+
+
+def _match_page(
+    raw: bytes, col: Column, row_count: int, pred: ScanPredicate, keys: Optional[frozenset]
+) -> tuple[list[int], list]:
+    """(the rows of one raw page of the predicate column that pred matches,
+    their values): what _decode_chunk and pred.matching give and raise, but
+    building only the matching values where the page allows.  keys is
+    pred's set as ASCII bytes when pred is a set on a STRING column (a key
+    that is not an ASCII string can equal no value of an ASCII page), else
+    None.
+
+    _frame checks the page first.  Then, when every value is present, an
+    INT64 page is tested on its unpacked values, and a STRING page whose
+    values are all ASCII (so all UTF-8), under at most _FIND_KEYS keys none
+    of them empty, is searched for each key, a hit counting where a value
+    starts and ends, until more than one value in _FIND_SHARE is a hit.  Any
+    other page (with nulls, not ASCII, under more keys, the empty key or a
+    range on a STRING column, or with that many hits) is decoded whole and
+    tested with pred.matching, which raises any error its values hold.
+    """
+    present, framed = _frame(raw, col, row_count)
+    if present == row_count:
+        if col.ctype == "INT64":
+            rows = pred.matching(framed)
+            return rows, [framed[i] for i in rows]
+        if keys is not None and len(keys) <= _FIND_KEYS and b"" not in keys and raw[framed[0] :].isascii():
+            rows = _find_rows(raw, framed, keys, row_count // _FIND_SHARE)
+            if rows is not None:
+                return rows, [raw[framed[i] : framed[i + 1]].decode("ascii") for i in rows]
+    values = _framed_values(raw, col, row_count, present, framed)
+    rows = pred.matching(values)
+    return rows, [values[i] for i in rows]
+
+
+def _ascii_keys(pred: ScanPredicate, col: Column) -> Optional[frozenset]:
+    """The keys _match_page takes for pred on col: pred's ASCII strings as
+    bytes if pred is a set on a STRING column, else None."""
+    if col.ctype != "STRING" or pred.values is None:
+        return None
+    return frozenset(k.encode("ascii") for k in pred.values if isinstance(k, str) and k.isascii())
+
+
+def _find_rows(raw: bytes, bounds: list[int], keys: Iterable[bytes], most: int) -> Optional[list[int]]:
+    """The ascending indices of the values that bounds frame in raw (where
+    each starts, then the end) that equal one of the non-empty keys, or None
+    once more than most do.  Each key is searched for from the first value
+    on; a hit counts where a value starts and ends, and the search goes on
+    from the next value's start."""
+    rows = []
+    for key in keys:
+        at = raw.find(key, bounds[0])
+        while at >= 0:
+            i = bisect_right(bounds, at) - 1  # the value holding byte at
+            if bounds[i] == at and bounds[i + 1] == at + len(key):
+                if len(rows) == most:
+                    return None
+                rows.append(i)
+            at = raw.find(key, bounds[i + 1])
+    return sorted(rows)
 
 
 # --- footer serialization ----------------------------------------------------
@@ -601,14 +711,26 @@ def write_carc(
 # --- reader -------------------------------------------------------------------
 
 def read_footer(file, tracker: Optional[IoTracker] = None) -> CarcFooter:
+    """The footer of a CARC file, decoded afresh: the caller owns it."""
     tracker = tracker or IoTracker()
     with tracker.open(file) as fh:
-        return _read_footer_fh(fh, file)
+        return _read_footer_fh(fh, file, _deserialize_footer)
 
 
-def _read_footer_fh(fh, file) -> CarcFooter:
+@lru_cache(maxsize=FOOTER_MEMO)
+def _footer_of(raw: bytes, data_end: int) -> CarcFooter:
+    """_deserialize_footer(raw, data_end), decoded once per distinct pair
+    among the last FOOTER_MEMO: the reads of an unchanged file share one
+    footer, which read_carc does not change.  An error is not kept, so a
+    bad footer raises on every read."""
+    return _deserialize_footer(raw, data_end)
+
+
+def _read_footer_fh(fh, file, decode: Callable[[bytes, int], CarcFooter]) -> CarcFooter:
     """The footer, checked against the row-group data, which lies between the
-    leading magic and the footer."""
+    leading magic and the footer.  The trailer and footer are read, and the
+    CRC checked, on every call; decode (_deserialize_footer, or _footer_of
+    for read_carc alone) decodes the footer bytes."""
     size = Path(file).stat().st_size
     if size < len(MAGIC) + TRAILER_LEN:
         raise BadMagic(f"{file}@0: too small for a CARC file")
@@ -623,7 +745,7 @@ def _read_footer_fh(fh, file) -> CarcFooter:
     if zlib.crc32(raw) != crc:
         raise FooterCorrupt(f"{file}@{start}: footer CRC mismatch")
     try:
-        return _deserialize_footer(raw, start)
+        return decode(raw, start)
     except BadMagic as exc:
         raise BadMagic(f"{file}@{start}: {exc}") from None
     except (KeyError, struct.error, IndexError, UnicodeDecodeError, SchemaMismatch, FooterCorrupt) as exc:
@@ -728,7 +850,7 @@ def read_carc(
     tracker = tracker or IoTracker()
     file = str(file)
     with tracker.open(file) as fh:
-        footer = _read_footer_fh(fh, file)
+        footer = _read_footer_fh(fh, file, _footer_of)
         schema = footer.schema
         names = [c.name for c in schema.columns] if projection is None else projection
         proj_idx = [schema.index_of(name) for name in names]
@@ -736,22 +858,31 @@ def read_carc(
         pick = [built.index(ci) for ci in proj_idx]
         in_order = pick == list(range(len(built)))
         pred_idx, scalars = (None, None) if pred is None else _stat_scalars(schema, pred)
+        pred_col = None if pred is None else schema.columns[pred_idx]
+        ascii_keys = None if pred is None else _ascii_keys(pred, pred_col)
 
-        def page_values(c: ChunkMeta, ci: int, wanted: list[tuple[int, Optional[list[int]]]]) -> Iterator[list]:
+        def decode(raw: bytes, p: PageMeta, ci: int, rows: Optional[list[int]]):
+            if ci == pred_idx:
+                return _match_page(raw, pred_col, p.row_count, pred, ascii_keys)
+            return _decode_chunk(raw, schema.columns[ci], p.row_count, bytes_view, rows)
+
+        def page_values(c: ChunkMeta, ci: int, wanted: list[tuple[int, Optional[list[int]]]]) -> Iterator:
             """Per page of wanted, (page index, its rows or None for all), the
-            values of those rows; one read spans the first to the last page."""
+            values of those rows, or of the predicate column's pages (rows
+            None) what _match_page gives; one read spans the first to the
+            last page."""
             if not wanted:
                 return
             at = list(accumulate((p.compressed_len for p in c.pages), initial=c.chunk_offset))
             base = at[wanted[0][0]]
             span = memoryview(fh.pread(base, at[wanted[-1][0] + 1] - base))
 
-            def values(page: tuple[int, Optional[list[int]]]) -> list:
+            def values(page: tuple[int, Optional[list[int]]]):
                 pi, rows = page
                 p = c.pages[pi]
                 try:
                     raw = inflate(span[at[pi] - base : at[pi + 1] - base], p.uncompressed_len, footer.codec)
-                    return _decode_chunk(raw, schema.columns[ci], p.row_count, bytes_view, rows)
+                    return decode(raw, p, ci, rows)
                 except _DECODE_ERRORS as exc:
                     raise DecompressFailure(f"{file}@{at[pi]}: {exc}") from None
 
@@ -765,11 +896,9 @@ def read_carc(
                 tested = [(pi, None) for pi, p in enumerate(c.pages) if _may_hold(p, pred, scalars)]
                 first = list(accumulate((p.row_count for p in c.pages), initial=0))
                 rows, keys = [], []
-                for (pi, _), values in zip(tested, page_values(c, pred_idx, tested)):
-                    for i, value in enumerate(values, first[pi]):
-                        if pred.matches(value):
-                            rows.append(i)
-                            keys.append(value)
+                for (pi, _), (hits, values) in zip(tested, page_values(c, pred_idx, tested)):
+                    rows += [first[pi] + i for i in hits]
+                    keys += values
                 if not rows:
                     continue
                 n = len(rows)

@@ -40,7 +40,16 @@ read and the key just past every run, and the order of the lines read.  A
 mismatch is :class:`BadSummary` (or :class:`BadCdxLine` for lines out of
 order) at file@offset, not an answer that differs from a whole-file read,
 as long as the CDX outside the blocks read is still sorted: a same-size
-edit of a block a lookup does not read is not seen.
+edit of a block a lookup does not read is not seen.  Every lookup reads
+the summary and checks its size; its blocks are decoded once per distinct
+summary bytes, CDX size and paths among the last ``SUMMARY_MEMO``.
+
+A time range tests the lines of each whole-file read together
+(:func:`_window_rows`): eight spaces a line, the stamps' lengths and digits
+over their concatenation, and the range on the stamps as padded text.  A
+read with a line that fails a check, or that the loop skips (a header, an
+empty line), is tested line by line, so an error keeps its line number
+and offset.
 
 :func:`iter_fetch_records` fetches in (file, offset) order, one positioned
 read for records stored back to back, up to ``_FETCH_BYTES``, unless told
@@ -58,9 +67,10 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import convert, warc
 from .carc import ScanPredicate
@@ -75,6 +85,7 @@ CDX_COLUMNS = ("urlkey", "url", "timestamp", "record_type", "mime", "status", "d
 _READ_CHUNK = 1 << 13  # parse_cdx whole-file read size: the buffer of a plain buffered reader
 SUMMARY_LINES = 128  # CDX lines a summary block holds (see the module docstring)
 SUMMARY_HEADER = b" CDX-SUMMARY "  # then the byte size of the CDX summarized
+SUMMARY_MEMO = 1  # decoded summaries kept, each with the bytes it was decoded from
 _FETCH_BYTES = 8 << 20  # most bytes one fetch reads (unless one record is larger) or one summary block holds
 _MERGE_GAP = 1 << 20  # a gap read through rather than sought over: one 10 ms seek's worth at 100 MiB/s
 
@@ -160,11 +171,12 @@ def summary_path(cdx_path) -> str:
 def build_cdx(warc_files, out) -> int:
     """Index the response records of the given WARC files into one sorted CDX
     file, and its summary beside it; returns line count."""
-    entries = [
-        CdxEntry(row.urlkey, row.timestamp_ms, row.url, row.mime, row.status, row.digest,
-                 loc.stored_length, loc.offset, Path(loc.file).name)
-        for row, loc, _ in convert.response_rows(pair for f in warc_files for pair in warc.scan_warc(f))
-    ]
+    entries: list[CdxEntry] = []
+    for f in warc_files:
+        name = Path(f).name
+        entries += [CdxEntry(row.urlkey, row.timestamp_ms, row.url, row.mime, row.status, row.digest,
+                             loc.stored_length, loc.offset, name)
+                    for row, loc, _ in convert.response_rows(warc.scan_warc(f))]
     entries.sort(key=lambda e: (e.urlkey, e.timestamp))  # the order of the line text
     _write_index(entries, out)
     return len(entries)
@@ -195,12 +207,17 @@ def parse_cdx(
     hold its keys, each block in one read, whose lines must then be in
     (urlkey, timestamp) order.  Every line read is checked for nine fields.
     With a urlkey or timestamp predicate only that field is decoded on every
-    line (on a summary read the urlkey is compared as UTF-8 bytes instead),
-    and only the lines it keeps are decoded in full; pred.matches decides on
-    the decoded entry.  A line that does not decode is BadCdxLine.
+    line (on a summary read the urlkey is compared as UTF-8 bytes instead;
+    under a time range each read's lines are checked and tested together
+    by _window_rows when they all pass), and only the lines it keeps are
+    decoded in full; pred.matches decides on the decoded entry.  A line
+    that does not decode is BadCdxLine.
     """
     tracker = tracker or IoTracker()
     keep = _field_test(pred)
+    window = None  # a time range as 17-digit stamp bytes, tested a read at a time by _window_rows
+    if pred is not None and pred.column == "timestamp" and pred.values is None:
+        window = _bound17(pred.lo).encode(), _bound17(pred.hi).encode()
     plan = _plan(file, pred, tracker)
     last = stamp = None  # on a summary read, the urlkey (as UTF-8) and stamp fields of the line before
     if plan is not None:  # a summary read: pred is a urlkey set
@@ -208,6 +225,16 @@ def parse_cdx(
         wanted = {k.encode("utf-8", "surrogatepass") for k in pred.values if isinstance(k, str)}
     with tracker.open(file) as fh:
         for first, at, lines in _file_lines(fh) if plan is None else _block_lines(fh, str(file), *plan):
+            kept = None if window is None else _window_rows(lines, *window)
+            if kept is not None:  # every line checked, these in the window
+                for i in kept:
+                    try:
+                        entry = _decode_line(lines[i].rstrip(b"\r"))
+                    except (ValueError, BadDate) as exc:
+                        raise _bad_line(BadCdxLine, file, first, at, lines, i, exc) from None
+                    if pred.matches(entry.timestamp):
+                        yield entry
+                continue
             for i, line in enumerate(lines):
                 line = line.rstrip(b"\r")
                 if not line or line.startswith(b" CDX"):
@@ -232,6 +259,21 @@ def parse_cdx(
                     raise _bad_line(BadCdxLine, file, first, at, lines, i, exc) from None
                 if pred is None or pred.matches(getattr(entry, pred.column)):
                     yield entry
+
+
+def _window_rows(lines: list[bytes], lo: bytes, hi: bytes) -> Optional[list[int]]:
+    """The indices of the lines of one read whose timestamp field, padded to
+    17 digits, lies in [lo, hi], found in a few passes over the read.  None
+    unless every line passes what parse_cdx checks of a line before it
+    decodes it: nine fields, as eight spaces (so no line is empty or a
+    header), and a stamp of 14 or 17 ASCII digits; then parse_cdx tests the
+    lines one by one, to raise at the line that fails."""
+    if set(map(bytes.count, lines, repeat(b" "))) != {8}:
+        return None
+    stamps = [line.split(b" ", 2)[1] for line in lines]
+    if not (b"".join(stamps).isdigit() and set(map(len, stamps)) <= {14, 17}):
+        return None
+    return [i for i, s in enumerate(stamps) if lo <= s.ljust(17, b"0") <= hi]
 
 
 def _bad_line(kind, file, first: Optional[int], at: int, lines: list[bytes], i: int, detail) -> BadCdxLine:
@@ -261,7 +303,6 @@ def _plan(file, pred: Optional[ScanPredicate], tracker: IoTracker):
         firsts, bounds, fields = _read_summary(fh, path, str(file), size)
     if not fields:
         return None
-    bounds.append(size)
     keys = {k for k in pred.values if isinstance(k, str)}  # no other value is a urlkey
     blocks = {max(i - 1, 0) for i in set(map(bisect_left, repeat(firsts), keys))}  # the bisects run in C
     for k in keys.intersection(firsts):  # a key that starts blocks may have lines in each of them
@@ -278,14 +319,23 @@ def _plan(file, pred: Optional[ScanPredicate], tracker: IoTracker):
     return bounds, fields, runs
 
 
-def _read_summary(fh, path: str, cdx_path: str, size: int) -> tuple[list[str], list[int], list[bytes]]:
-    """A summary's blocks: first urlkeys, start offsets and first urlkey
-    fields.  BadSummary unless it summarizes a CDX of size bytes in blocks
-    that start in order inside it, the first at 0, at urlkeys in order."""
+def _read_summary(fh, path: str, cdx_path: str, size: int) -> tuple[tuple, tuple, tuple]:
+    """A summary's blocks: first urlkeys, start offsets then size, and first
+    urlkey fields.  BadSummary unless it summarizes a CDX of size bytes in
+    blocks that start in order inside it, the first at 0, at urlkeys in
+    order.  The summary is read and its size checked on every call, and
+    decoded by _summary_blocks."""
     own = os.path.getsize(path)
     if own > size:  # each block's line is shorter than the CDX line it stands for
         raise BadSummary(path, 0, f"{own} bytes, more than the {size} of {cdx_path}")
-    data = fh.read(own)
+    return _summary_blocks(fh.read(own), path, cdx_path, size)
+
+
+@lru_cache(maxsize=SUMMARY_MEMO)
+def _summary_blocks(data: bytes, path: str, cdx_path: str, size: int) -> tuple[tuple, tuple, tuple]:
+    """_read_summary's result from the summary's bytes, decoded once per
+    distinct arguments among the last SUMMARY_MEMO (the paths name errors);
+    an error is not kept, so a bad summary raises on every read."""
     head, _, body = data.partition(b"\n")
     if not head.startswith(SUMMARY_HEADER) or not data.endswith(b"\n"):
         raise BadSummary(path, 0, "not a CDX summary, or cut short")
@@ -310,7 +360,7 @@ def _read_summary(fh, path: str, cdx_path: str, size: int) -> tuple[list[str], l
         starts.append(start)
         fields.append(key_field)
         at += len(line) + 1
-    return firsts, starts, fields
+    return tuple(firsts), (*starts, size), tuple(fields)
 
 
 def _number(text: bytes) -> Optional[int]:
@@ -338,7 +388,7 @@ def _file_lines(fh) -> Iterator[tuple[int, int, list[bytes]]]:
         yield line_no, line_at, [last]
 
 
-def _block_lines(fh, file: str, bounds: list[int], fields: list[bytes],
+def _block_lines(fh, file: str, bounds: Sequence[int], fields: Sequence[bytes],
                  runs: list[tuple[int, int]]) -> Iterator[tuple[Optional[int], int, list[bytes]]]:
     """Per block of runs, in file order: the number of its first line (None
     unless its run starts the file), its offset, and its lines, without

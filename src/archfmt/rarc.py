@@ -256,7 +256,7 @@ def read_rarc(
             rows = None
             if pred is not None:
                 keys = decode_rows(raw, key_layout, count)
-                rows = [i for i, (value,) in enumerate(keys) if pred.matches(value)]
+                rows = pred.matching([value for value, in keys])
                 if not rows:
                     return []
             return decode_rows(raw, layout, count, bytes_view, rows)

@@ -11,6 +11,7 @@ import math
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -274,7 +275,7 @@ def test_criterion_6_type3_scan_advantage(dataset, tmp_path_factory):
             out, m = scan_extract(backend, derived, "links", root / f"{backend}.tsv")
             walls[backend] = min(walls[backend], time.monotonic() - t0)
             seeks[backend], outs[backend] = m.seek_count, out
-    contents = {open(outs[b], "rb").read() for b in BACKENDS}
+    contents = {Path(outs[b]).read_bytes() for b in BACKENDS}
     assert len(contents) == 1, "derived outputs differ across backends"
 
     for backend in ("carc", "rarc"):

@@ -1,6 +1,7 @@
 import csv
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -208,12 +209,12 @@ def test_report_outputs(bench_dataset, tmp_path):
     files = emit_report(out, tmp_path / "report")
     svgs = [f for f in files if f.endswith(".svg")]
     assert len(svgs) == 1
-    svg = open(svgs[0]).read()
+    svg = Path(svgs[0]).read_text()
     assert svg.count("<polyline") == 2
     assert "legend" in svg or "warc" in svg
     sizes = [f for f in files if f.endswith("sizes.tsv")]
     assert len(sizes) == 1
-    table = open(sizes[0]).read()
+    table = Path(sizes[0]).read_text()
     # reference full-scale ratio, normalized to the warc baseline (0.914/0.985)
     assert "carc" in table and "0.928" in table
     assert any(f.endswith("summary.txt") for f in files)

@@ -817,6 +817,152 @@ def test_scan_predicate_matches():
     assert isin.matches("k999") and not isin.matches("k1000") and not isin.matches(None)
 
 
+def test_scan_predicate_matching_is_matches_over_the_values():
+    ints = [None, 3, 10, 20, 21, 15, 10, None, -4]
+    texts = ["a", None, "b", "", "a", "\u00e9", "ab"]
+    for pred, values in [
+        (ScanPredicate.range("timestamp", 10, 20), ints),
+        (ScanPredicate.isin("timestamp", [10, 21, None, "10"]), ints),
+        (ScanPredicate.range("urlkey", "a", "b"), texts),
+        (ScanPredicate.isin("urlkey", ["a", "", None, 3, b"b"]), texts),
+        (ScanPredicate.isin("urlkey", []), texts),
+    ]:
+        assert pred.matching(values) == [i for i, v in enumerate(values) if pred.matches(v)]
+    mixed = ScanPredicate.range("timestamp", 10, 20)
+    with pytest.raises(SchemaMismatch) as first:
+        mixed.matches("x")
+    with pytest.raises(SchemaMismatch, match=re.escape(str(first.value))):
+        mixed.matching([12, None, "x", b"y", 5])
+
+
+def _decode_then_match(raw, col, row_count, pred):
+    """What read_carc made of a predicate page before _match_page: every
+    value decoded, then each tested with matches."""
+    values = carc._decode_chunk(raw, col, row_count)
+    rows = [i for i, v in enumerate(values) if pred.matches(v)]
+    return rows, [values[i] for i in rows]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArchfmtError, struct.error, UnicodeDecodeError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+def _forged_lengths(raw, row_count, present, deltas):
+    """raw with deltas[i] added to the i-th length of a STRING page."""
+    at = (row_count + 7) // 8
+    lengths = list(struct.unpack_from(f"<{present}I", raw, at))
+    for i, delta in deltas.items():
+        lengths[i] = max(lengths[i] + delta, 0)
+    return raw[:at] + struct.pack(f"<{present}I", *lengths) + raw[at + 4 * present :]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_predicate_page_kernel_equals_decode_then_matches(seed, monkeypatch):
+    """_match_page gives and raises what decoding the page and testing each
+    value did: with nulls, non-ASCII values, duplicate and absent keys, the
+    empty key, keys inside or at the start of other values, more keys than
+    _FIND_KEYS, a search stopped for its hits, and lengths forged to frame
+    the page otherwise or not at all."""
+    rng = random.Random(seed)
+    found, find_rows, share = [], carc._find_rows, carc._FIND_SHARE  # found: what each search gave
+    monkeypatch.setattr(carc, "_find_rows", lambda *args: found.append(find_rows(*args)) or found[-1])
+    for _ in range(300):
+        monkeypatch.setattr(carc, "_FIND_SHARE", rng.choice([1, 2, share]))
+        n = rng.randint(1, 30)
+        col = Column("urlkey", "STRING", rng.random() < 0.3)
+        pool = ["".join(rng.choice("ab/") for _ in range(rng.randint(0, 4))) for _ in range(6)]
+        if rng.random() < 0.2:
+            pool.append("\u00e9" + pool[0])
+        values = [None if col.nullable and rng.random() < 0.2 else rng.choice(pool) for _ in range(n)]
+        raw = carc._encode_chunk(values, col)[0]
+        present = sum(v is not None for v in values)
+        if present > 1 and rng.random() < 0.3:
+            i, j = rng.sample(range(present), 2)
+            raw = _forged_lengths(raw, n, present, rng.choice([{i: 1, j: -1}, {i: 1}, {i: -1}]))
+        elif rng.random() < 0.05:
+            raw = raw[: rng.randrange(len(raw))]
+        candidates = pool + ["absent", "", "abab", "\u00e9", 3, None, b"a"] + [v[:1] for v in pool]
+        candidates += ["".join(rng.choice("ab/") for _ in range(rng.randint(1, 6))) for _ in range(30)]
+        k = rng.choice([0, 1, 2, 3, carc._FIND_KEYS, carc._FIND_KEYS + 1, 40])
+        pred = ScanPredicate.isin("urlkey", rng.choices(candidates, k=k))
+        keys = carc._ascii_keys(pred, col)
+        got = _outcome(carc._match_page, raw, col, n, pred, keys)
+        assert got == _outcome(_decode_then_match, raw, col, n, pred), (values, pred)
+    assert None in found and any(found)
+
+
+@pytest.mark.parametrize("nullable", [False, True])
+def test_int_predicate_page_kernel_equals_decode_then_matches(nullable):
+    rng = random.Random(nullable)
+    col = Column("timestamp", "INT64", nullable)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        values = [None if nullable and rng.random() < 0.2 else rng.randint(-50, 50) for _ in range(n)]
+        raw = carc._encode_chunk(values, col)[0]
+        if rng.random() < 0.1:
+            raw = raw[:-1]
+        lo = rng.randint(-60, 60)
+        pred = rng.choice([
+            ScanPredicate.range("timestamp", lo, lo + rng.randint(0, 40)),
+            ScanPredicate.range("timestamp", str(lo), "z"),  # bounds that cannot compare with a value
+            ScanPredicate.isin("timestamp", rng.choices(values + [99, "1"], k=3)),
+        ])
+        got = _outcome(carc._match_page, raw, col, n, pred, carc._ascii_keys(pred, col))
+        assert got == _outcome(_decode_then_match, raw, col, n, pred), (values, pred)
+
+
+def test_a_footer_is_decoded_once_per_distinct_bytes(tmp_path):
+    """Reads of an unchanged file share one decoded footer; a file rewritten
+    in place at the same size with another footer is decoded anew, and one
+    whose footer is corrupted after a read is still FooterCorrupt."""
+    carc._footer_of.cache_clear()
+
+    def decoded():
+        return carc._footer_of.cache_info().misses
+
+    path = tmp_path / "m.carc"
+    rows = make_rows(40, seed=5)
+    write_carc(rows, SCHEMA, path, rows_per_group=16, codec="none")
+    pred = ScanPredicate.isin("urlkey", [rows[7][0]])
+    assert list(read_carc(path)) == rows
+    assert list(read_carc(path, pred=pred)) == [r for r in rows if r[0] == rows[7][0]]
+    assert decoded() == 1
+    size = path.stat().st_size
+    other = [(r[0].replace("com", "org"), *r[1:]) for r in rows]  # other stats, the same lengths
+    write_carc(other, SCHEMA, path, rows_per_group=16, codec="none")
+    assert path.stat().st_size == size
+    assert list(read_carc(path)) == other and decoded() == 2
+    data = bytearray(path.read_bytes())
+    data[-TRAILER_LEN - 3] ^= 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(FooterCorrupt, match=re.escape(f"{path}@") + ".*CRC"):
+        list(read_carc(path))
+    assert decoded() == 2
+
+
+def test_a_changed_read_footer_result_does_not_change_a_read(tmp_path):
+    """read_footer decodes a footer of its own each call: stripping the stats
+    of the one it returned leaves the plan of a later read as it was."""
+    carc._footer_of.cache_clear()
+    path = tmp_path / "own.carc"
+    rows = make_rows(64, seed=6)
+    write_carc(rows, SCHEMA, path, rows_per_group=16, codec="none")
+    pred = ScanPredicate.isin("urlkey", [rows[40][0]])
+    want = [r for r in rows if r[0] == rows[40][0]]
+    assert list(read_carc(path, pred=pred)) == want
+    footer = read_footer(path)
+    assert footer is not read_footer(path)
+    ki = SCHEMA.index_of("urlkey")
+    for g in footer.row_groups:
+        g.chunks[ki].min = g.chunks[ki].max = b"\xff"  # stats that no key falls under: every group pruned
+        g.chunks[ki].pages[:] = []
+    assert list(read_carc(path, pred=pred)) == want
+    assert read_footer(path) != footer
+
+
 # (field, value) written into the footer of a file, whose CRC is then
 # recomputed.  The field is one of row group 0's first chunk, or with
 # "page_", of that chunk's first page, or with "mid_page_", of its middle
@@ -868,6 +1014,7 @@ FUZZ_PREDICATES = [
     None,
     ScanPredicate.range("timestamp", 0, 5 * 10**11),
     ScanPredicate.isin("urlkey", [f"com,site{i})/p/{i}" for i in range(0, 120, 9)]),
+    ScanPredicate.isin("urlkey", [row[0] for row in make_rows(120, seed=31)[::5]]),  # more than _FIND_KEYS
 ]
 
 

@@ -419,6 +419,54 @@ def test_bad_line_number_with_and_without_predicate(tmp_path, monkeypatch, chunk
             assert exc.value.line_no == 4
 
 
+def _parsed(path, pred):
+    """parse_cdx's entries for pred, or its error: class, message, line and offset."""
+    try:
+        return list(parse_cdx(path, pred))
+    except BadCdxLine as exc:
+        return type(exc), str(exc), exc.line_no, exc.offset
+
+
+@pytest.mark.parametrize("chunk", [1, 64, 700])
+def test_window_reads_tested_in_batch_equal_the_per_line_loop(tmp_path, monkeypatch, chunk):
+    """A time window tests the lines of each read in a batch, and tests them
+    one by one where a line fails a check or is skipped: the entries, or the
+    error with its line and offset, are those of testing every line alone."""
+    monkeypatch.setattr(cdx_mod, "_READ_CHUNK", chunk)
+    rng = random.Random(chunk)
+    lines = [e.to_line() for e in _mixed_entries(rng, ["com,a)/", "com,b)/"], 60)]
+    odd = {  # lines the batch must not take as they are
+        "header": CDX_HEADER, "empty": "", "cr": "\r",
+        "8 fields": "com,z)/ 20180521080000 u - 200 D 10 0",
+        "10 fields": "com,z)/ 20180521080000 u - 200 D 10 0 f g",
+        "13-digit stamp": "com,z)/ 2018052108000 u - 200 D 10 0 f",
+        "letter in stamp": "com,z)/ 2018052108000x u - 200 D 10 0 f",
+        "non-ASCII digit": "com,z)/ 2018052108000\uff10 u - 200 D 10 0 f",
+        "header-like": " CDX a b c d e f g h",
+        "bad length": "com,z)/ 20180521080000 u - 200 D 1x 0 f",  # fails only once decoded
+        "cr inside": "com,z)/ 20180521080000 u\rv - 200 D 10 0 f",
+    }
+    windows = [ScanPredicate.range("timestamp", -10**15, 10**15), ScanPredicate.range("timestamp", 0, 1)]
+    stamps = sorted(parse_timestamp14(line.split(" ")[1]) for line in lines)
+    windows += [ScanPredicate.range("timestamp", stamps[i], stamps[i + 9]) for i in (0, 25, 50)]
+    batched = []
+    window_rows = cdx_mod._window_rows
+    monkeypatch.setattr(cdx_mod, "_window_rows", lambda *args: batched.append(window_rows(*args)) or batched[-1])
+    path = tmp_path / "b.cdx"
+    for name, line in [("none", None), *odd.items()]:
+        for newline in ("\n", "\r\n"):
+            body = [CDX_HEADER] + lines
+            if line is not None:
+                body.insert(rng.randrange(1, len(body) + 1), line)
+            path.write_bytes("".join(ln + newline for ln in body).encode("utf-8"))
+            for window in windows:
+                got = _parsed(path, window)
+                with monkeypatch.context() as m:
+                    m.setattr(cdx_mod, "_window_rows", lambda *args: None)
+                    assert got == _parsed(path, window), (name, newline, window)
+    assert any(rows is not None for rows in batched) and None in batched
+
+
 def test_predicate_scan_decodes_other_fields_only_on_matching_lines(tmp_path):
     path = tmp_path / "skip.cdx"
     path.write_text(
@@ -622,6 +670,31 @@ def test_a_stale_summary_is_a_located_error(tmp_path, monkeypatch, capsys):
         assert main(["query", "meta", "--backend", "warc_cdx", "--cdx", str(path), "--warc", str(tmp_path / "f"),
                      "--url-file", str(urls)]) == 2
         assert "error: " in capsys.readouterr().err
+
+
+def test_a_summary_is_decoded_once_per_distinct_bytes(tmp_path):
+    """Lookups in an unchanged CDX share one decoded summary, read and
+    size-checked each time; a summary changed after a lookup is checked anew."""
+    from archfmt.errors import BadSummary
+
+    cdx_mod._summary_blocks.cache_clear()
+    entries = _summary_corpus(random.Random(4))
+    path = tmp_path / "m.cdx"
+    cdx_mod._write_index(entries, path)
+    key = entries[100].urlkey
+    want = [e for e in entries if e.urlkey == key]
+    trackers = [IoTracker(), IoTracker()]
+    assert _lookup(path, [key], trackers[0]) == want == _lookup(path, [key], trackers[1])
+    io = [(t.bytes_read, t.seek_count, t.open_count) for t in trackers]
+    assert io[0] == io[1]
+    info = cdx_mod._summary_blocks.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    summary = tmp_path / "m.cdx.idx"
+    data = summary.read_bytes()
+    head, body = data.split(b"\n", 1)
+    summary.write_bytes(head[:-1] + b"%d" % ((head[-1] - 47) % 10) + b"\n" + body)  # another CDX size, same length
+    with pytest.raises(BadSummary, match=re.escape(f"{summary}@")):
+        _lookup(path, [key])
 
 
 def test_a_block_read_starts_a_line_and_its_lines_are_in_order(tmp_path, monkeypatch):

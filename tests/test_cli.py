@@ -283,7 +283,7 @@ def test_inspect_bad_input_is_data_error(cli_dataset, tmp_path, capsys, fmt):
     elif fmt == "other":
         path.write_bytes(b"WARC/1.1\r\n")
     else:
-        data = open(cli_dataset[fmt], "rb").read()
+        data = Path(cli_dataset[fmt]).read_bytes()
         path.write_bytes(data[: len(data) * 2 // 3])  # truncated
     capsys.readouterr()
     code, out, err = run(capsys, "inspect", str(path))

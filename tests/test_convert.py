@@ -2,6 +2,7 @@ import calendar
 import dataclasses
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -347,7 +348,7 @@ def test_external_sort_spill_matches_in_memory_sort(tmp_path, monkeypatch, sort,
 
     def digest(out):
         m = convert([path], "carc", out, sort=sort, rows_per_group=16, timestamp_as_text=as_text)
-        return hashlib.sha256(open(m.output, "rb").read()).hexdigest(), sorted(os.listdir(out))
+        return hashlib.sha256(Path(m.output).read_bytes()).hexdigest(), sorted(os.listdir(out))
 
     in_memory, files = digest(tmp_path / "memory")
     runs = _spill_small_runs(monkeypatch)

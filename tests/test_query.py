@@ -181,7 +181,7 @@ def _summary_read(cdx_path, keys) -> tuple[int, int, int]:
     block), and the first urlkey field and space of the block after it."""
     import os
 
-    summary = open(cdx.summary_path(cdx_path), "rb").read()
+    summary = Path(cdx.summary_path(cdx_path)).read_bytes()
     blocks = [line.split(b" ") for line in summary.split(b"\n")[1:-1]]
     firsts, starts = [f.decode() for f, _ in blocks], [int(n) for _, n in blocks]
     picked = [i for i in range(len(blocks)) for k in keys
@@ -210,7 +210,7 @@ def test_warc_cdx_io_is_one_index_pass_plus_one_read_per_match(corpus):
         i = rng.randrange(len(stamps) - n)
         specs.append(QuerySpec(kind="records", time_range=(stamps[i], stamps[i + n])))
     cdx_size = os.path.getsize(paths.cdx)
-    assert len(open(cdx.summary_path(paths.cdx)).read().splitlines()) == 1 + -(-len(entries) // cdx.SUMMARY_LINES)
+    assert len(Path(cdx.summary_path(paths.cdx)).read_text().splitlines()) == 1 + -(-len(entries) // cdx.SUMMARY_LINES)
     for spec in specs:
         pred = spec.predicate()
         matches = [e for e in entries if pred.matches(getattr(e, pred.column))]
@@ -319,7 +319,8 @@ def test_scan_extract_identical_across_backends(tmp_path, extractor):
         out = tmp_path / f"{backend}.{extractor}.tsv"
         scan_extract(backend, paths, extractor, out)
         digests[backend] = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert sum(1 for _ in open(out)) == 5
+        with open(out) as fh:
+            assert sum(1 for _ in fh) == 5
     assert len(set(digests.values())) == 1
 
 
