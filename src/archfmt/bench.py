@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from . import cdx, query, warc
+from . import cdx, iostats, query, warc
 from .carc import ordered_map
 from .convert import utc_fields
 from .errors import BadCsv, EquivalenceFailure, IoFailure, Unachievable
@@ -251,9 +251,6 @@ def _url_lists_of(counts: Counter, targets: Sequence[float], seed: int) -> list[
 
 # --- suite runner ---------------------------------------------------------------
 
-SEEK_MS, MB_PER_S = 10.0, 100.0  # the cost model: ms a seek, MiB/s of transfer
-
-
 @dataclass
 class SuiteConfig:
     paths: DatasetPaths
@@ -267,7 +264,8 @@ class SuiteConfig:
 
 
 def modeled_ms(m: Measurement) -> float:
-    return m.seek_count * SEEK_MS + m.bytes_read / (MB_PER_S * (1 << 20)) * 1000.0
+    """m's cost under the paper's model (iostats.SEEK_MS a seek, iostats.MB_PER_S of transfer), in ms."""
+    return m.seek_count * iostats.SEEK_MS + m.bytes_read / (iostats.MB_PER_S * (1 << 20)) * 1000.0
 
 
 def _dataset_bytes(backend: str, paths: DatasetPaths) -> int:

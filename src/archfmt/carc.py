@@ -21,9 +21,11 @@ index when the footer is read.  So a query skips the groups whose stats
 interval cannot intersect its predicate, reads only the chunks it
 projects, decodes only the predicate column's pages whose stats can match,
 and inflates of each other projected chunk only the pages that hold the
-matching rows.  The footer also holds the format version; a file of
-another version (1 to 3 had other page or footer layouts) is BadMagic
-naming its version.
+matching rows.  A group's spans of those pages are read in runs across
+holes of at most the cost model's break-even (iostats.coalesce), so a
+lookup makes a few positioned reads, not one per chunk.  The footer also
+holds the format version; a file of another version (1 to 3 had other
+page or footer layouts) is BadMagic naming its version.
 
 A predicate page is matched without building its values where it can
 (_match_page): after the bitmap, the lengths and the page's end are
@@ -65,7 +67,7 @@ from .errors import (
     UnknownColumn,
     UnsortedInput,
 )
-from .iostats import IoTracker
+from .iostats import MERGE_GAP, RUN_BYTES, IoTracker, coalesce
 
 MAGIC = b"CARC"
 VERSION = 4
@@ -821,6 +823,11 @@ def _rows_by_page(pages: Sequence[PageMeta], rows: Optional[list[int]]) -> list[
     return list(by_page.items())
 
 
+def _page_starts(c: ChunkMeta) -> list[int]:
+    """Where each page of chunk c starts in the file, then where c ends."""
+    return list(accumulate((p.compressed_len for p in c.pages), initial=c.chunk_offset))
+
+
 def read_carc(
     file,
     projection: Optional[Sequence[str]] = None,
@@ -832,17 +839,22 @@ def read_carc(
     pred, in file row order.  projection=None means every schema column.
 
     Of each planned group, the predicate column's pages whose stats can
-    match are read and decoded first.  A group with no matching row reads
-    nothing more; otherwise, of each other projected chunk, one read spans
-    the pages that hold the matching rows (every page without a predicate).
-    Each page is inflated when its first value is reached, and the columns
-    advance together.  Pages are inflated and decoded through ordered_map:
-    while the calling thread decodes one page of a chunk, the pool may
-    decode the next, so a read holds up to two inflated pages per column.
-    A page is checked whole but builds only the values of the matching
-    rows (see _decode_chunk).  Pass a tracker to collect the I/O
-    measurement; the reads are made in the calling thread, and are the
-    same with the pool or without it.
+    match are read, with one read spanning them, and decoded first.  A
+    group with no matching row reads nothing more.  Otherwise each other
+    projected chunk wants the span from the first to the last page that
+    holds a matching row (every page without a predicate).  The group's
+    spans are read before any of their pages is inflated, in the runs
+    iostats.coalesce plans: spans whose hole is at most MERGE_GAP bytes
+    (the cost model's break-even) share one read of at most RUN_BYTES, so
+    no read costs more under the model than a read per span, and no run
+    crosses a group.  Each page is inflated when its first value is
+    reached, and the columns advance together.  Pages are inflated and
+    decoded through ordered_map: while the calling thread decodes one page
+    of a chunk, the pool may decode the next, so a read holds up to two
+    inflated pages per column.  A page is checked whole but builds only
+    the values of the matching rows (see _decode_chunk).  Pass a tracker to
+    collect the I/O measurement; the reads are made in the calling thread,
+    and are the same with the pool or without it.
 
     With bytes_view=True, BYTES values are yielded as zero-copy memoryview
     slices over the decoded page; call bytes() on a value to detach it.
@@ -866,47 +878,56 @@ def read_carc(
                 return _match_page(raw, pred_col, p.row_count, pred, ascii_keys)
             return _decode_chunk(raw, schema.columns[ci], p.row_count, bytes_view, rows)
 
-        def page_values(c: ChunkMeta, ci: int, wanted: list[tuple[int, Optional[list[int]]]]) -> Iterator:
+        def page_values(c: ChunkMeta, ci: int, wanted: list[tuple[int, Optional[list[int]]]],
+                        at: list[int], run: memoryview, run_at: int) -> Iterator:
             """Per page of wanted, (page index, its rows or None for all), the
             values of those rows, or of the predicate column's pages (rows
-            None) what _match_page gives; one read spans the first to the
-            last page."""
-            if not wanted:
-                return
-            at = list(accumulate((p.compressed_len for p in c.pages), initial=c.chunk_offset))
-            base = at[wanted[0][0]]
-            span = memoryview(fh.pread(base, at[wanted[-1][0] + 1] - base))
-
+            None) what _match_page gives; the page starting at at[pi] lies in
+            run, the bytes read from run_at."""
             def values(page: tuple[int, Optional[list[int]]]):
                 pi, rows = page
                 p = c.pages[pi]
                 try:
-                    raw = inflate(span[at[pi] - base : at[pi + 1] - base], p.uncompressed_len, footer.codec)
+                    raw = inflate(run[at[pi] - run_at : at[pi + 1] - run_at], p.uncompressed_len, footer.codec)
                     return decode(raw, p, ci, rows)
                 except _DECODE_ERRORS as exc:
                     raise DecompressFailure(f"{file}@{at[pi]}: {exc}") from None
 
-            yield from ordered_map(values, wanted, lambda page: c.pages[page[0]].uncompressed_len)
+            return ordered_map(values, wanted, lambda page: c.pages[page[0]].uncompressed_len)
+
+        def read_pages(g: RowGroupMeta, wanted: dict[int, list]) -> dict[int, Iterator]:
+            """Per column ci of wanted, the page_values of its wanted pages of
+            group g, given as page_values takes them.  Each column's span,
+            from its first wanted page to its last, is read first, in the runs
+            iostats.coalesce plans, one pread each, in file order."""
+            wanted = {ci: w for ci, w in wanted.items() if w}
+            at = {ci: _page_starts(g.chunks[ci]) for ci in wanted}
+            spans = {ci: (at[ci][w[0][0]], at[ci][w[-1][0] + 1]) for ci, w in wanted.items()}
+            runs = coalesce(spans.values(), MERGE_GAP, RUN_BYTES)
+            starts = [start for start, _ in runs]
+            views = [memoryview(fh.pread(start, end - start)) for start, end in runs]
+            out = {}
+            for ci, (start, _) in spans.items():
+                r = bisect_right(starts, start) - 1
+                out[ci] = page_values(g.chunks[ci], ci, wanted[ci], at[ci], views[r], starts[r])
+            return out
 
         for gi in plan_row_groups(footer, pred):
             g = footer.row_groups[gi]
             rows, keys, n = None, None, g.row_count
             if pred is not None:
-                c = g.chunks[pred_idx]
-                tested = [(pi, None) for pi, p in enumerate(c.pages) if _may_hold(p, pred, scalars)]
-                first = list(accumulate((p.row_count for p in c.pages), initial=0))
+                pages = g.chunks[pred_idx].pages
+                tested = [(pi, None) for pi, p in enumerate(pages) if _may_hold(p, pred, scalars)]
+                first = list(accumulate((p.row_count for p in pages), initial=0))
                 rows, keys = [], []
-                for (pi, _), (hits, values) in zip(tested, page_values(c, pred_idx, tested)):
+                for (pi, _), (hits, values) in zip(tested, read_pages(g, {pred_idx: tested}).get(pred_idx, ())):
                     rows += [first[pi] + i for i in hits]
                     keys += values
                 if not rows:
                     continue
                 n = len(rows)
-            cols = [
-                iter(keys) if ci == pred_idx
-                else chain.from_iterable(page_values(g.chunks[ci], ci, _rows_by_page(g.chunks[ci].pages, rows)))
-                for ci in built
-            ]
+            chunks = read_pages(g, {ci: _rows_by_page(g.chunks[ci].pages, rows) for ci in built if ci != pred_idx})
+            cols = [iter(keys) if ci == pred_idx else chain.from_iterable(chunks.get(ci, ())) for ci in built]
             if not cols:
                 yield from repeat((), n)
             elif in_order:

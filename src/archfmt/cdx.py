@@ -25,10 +25,11 @@ predicate scan does not validate those fields on lines it skips; without a
 predicate every field of every line is validated.  With no predicate or a
 time range it reads the whole file in ``_READ_CHUNK`` pieces.  With a
 urlkey predicate and a summary it reads the blocks that can hold its keys,
-in runs with one seek each and each block in one read: at 10 ms a seek and
-100 MiB/s, a lookup on an 8,000-line (1.44 MB) index costs 20.3 ms instead
-of the whole file's 23.7 ms, and on a 200,000-line (36 MB) index 21.0 ms
-instead of 358 ms.  Of the block sizes tried (32 to 1,024 lines), 64 gave
+in runs with one seek each and each block in one read, blocks at most the
+cost model's break-even (``iostats.MERGE_GAP``) apart sharing a run: at
+10 ms a seek and 100 MiB/s, a lookup on an 8,000-line (1.44 MB) index
+costs 20.3 ms instead of the whole file's 23.7 ms, and on a 200,000-line
+(36 MB) index 21.0 ms instead of 358 ms.  Of the block sizes tried (32 to 1,024 lines), 64 gave
 the fastest lookup at 8,000 lines and 256 at 200,000; ``SUMMARY_LINES`` =
 128 came within 15% and 35% of them, closer at both sizes at once than any
 other.  A block to read of more than ``_FETCH_BYTES``, or a URL list that
@@ -47,8 +48,12 @@ summary bytes, CDX size and paths among the last ``SUMMARY_MEMO``.
 A time range tests the lines of each whole-file read together
 (:func:`_window_rows`): eight spaces a line, the stamps' lengths and digits
 over their concatenation, and the range on the stamps as padded text.  A
-read with a line that fails a check, or that the loop skips (a header, an
-empty line), is tested line by line, so an error keeps its line number
+summary read checks each block together (:func:`_summary_rows`): nine
+plain fields a line, stamps of one length, and the (urlkey, timestamp)
+order in one comparison of the block's pairs with their sorted list, from
+the line before on; the wanted keys are found by bisection.  A read or
+block with a line that fails a check, or that the loop skips (a header,
+an empty line), is tested line by line, so an error keeps its line number
 and offset.
 
 :func:`iter_fetch_records` fetches in (file, offset) order, one positioned
@@ -64,6 +69,7 @@ Only this module knows the line: :meth:`CdxEntry.to_line` encodes it and
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -77,17 +83,17 @@ from .carc import ScanPredicate
 from .convert import canonicalize_url  # noqa: F401 (the urlkey codec, importable from here)
 from .errors import ArchfmtError, BadCdxLine, BadDate, BadFieldCount, BadOffset, BadSummary
 from .httpmsg import http_status
-from .iostats import IoTracker
+from .iostats import MERGE_GAP, RUN_BYTES, IoTracker, coalesce
 
 CDX_HEADER = " CDX N b a m s k S V g"
 CDX_COLUMNS = ("urlkey", "url", "timestamp", "record_type", "mime", "status", "digest")
 
-_READ_CHUNK = 1 << 13  # parse_cdx whole-file read size: the buffer of a plain buffered reader
+_READ_CHUNK = 1 << 16  # parse_cdx whole-file read size; memory holds one piece plus the longest line
 SUMMARY_LINES = 128  # CDX lines a summary block holds (see the module docstring)
 SUMMARY_HEADER = b" CDX-SUMMARY "  # then the byte size of the CDX summarized
 SUMMARY_MEMO = 1  # decoded summaries kept, each with the bytes it was decoded from
-_FETCH_BYTES = 8 << 20  # most bytes one fetch reads (unless one record is larger) or one summary block holds
-_MERGE_GAP = 1 << 20  # a gap read through rather than sought over: one 10 ms seek's worth at 100 MiB/s
+_FETCH_BYTES = RUN_BYTES  # most bytes one fetch reads (unless one record is larger) or one summary block holds
+_MERGE_GAP = MERGE_GAP  # a gap read through rather than sought over: the cost model's break-even
 
 
 @dataclass(frozen=True)
@@ -207,11 +213,12 @@ def parse_cdx(
     hold its keys, each block in one read, whose lines must then be in
     (urlkey, timestamp) order.  Every line read is checked for nine fields.
     With a urlkey or timestamp predicate only that field is decoded on every
-    line (on a summary read the urlkey is compared as UTF-8 bytes instead;
-    under a time range each read's lines are checked and tested together
-    by _window_rows when they all pass), and only the lines it keeps are
-    decoded in full; pred.matches decides on the decoded entry.  A line
-    that does not decode is BadCdxLine.
+    line (on a summary read the urlkey is compared as UTF-8 bytes instead),
+    and only the lines it keeps are decoded in full; pred.matches decides
+    on the decoded entry.  The lines of a plain summary block are checked
+    and matched together by _summary_rows, those of a whole-file read under
+    a time range by _window_rows, when they all pass.  A line that does
+    not decode is BadCdxLine.
     """
     tracker = tracker or IoTracker()
     keep = _field_test(pred)
@@ -223,16 +230,21 @@ def parse_cdx(
     if plan is not None:  # a summary read: pred is a urlkey set
         last = stamp = b""
         wanted = {k.encode("utf-8", "surrogatepass") for k in pred.values if isinstance(k, str)}
+        in_order = sorted(wanted)
     with tracker.open(file) as fh:
         for first, at, lines in _file_lines(fh) if plan is None else _block_lines(fh, str(file), *plan):
-            kept = None if window is None else _window_rows(lines, *window)
-            if kept is not None:  # every line checked, these in the window
+            kept = None
+            if window is not None:
+                kept = _window_rows(lines, *window)
+            elif plan is not None and (found := _summary_rows(lines, last, stamp, in_order)) is not None:
+                kept, last, stamp = found
+            if kept is not None:  # every line checked, these to decode
                 for i in kept:
                     try:
                         entry = _decode_line(lines[i].rstrip(b"\r"))
                     except (ValueError, BadDate) as exc:
                         raise _bad_line(BadCdxLine, file, first, at, lines, i, exc) from None
-                    if pred.matches(entry.timestamp):
+                    if pred.matches(getattr(entry, pred.column)):
                         yield entry
                 continue
             for i, line in enumerate(lines):
@@ -276,6 +288,40 @@ def _window_rows(lines: list[bytes], lo: bytes, hi: bytes) -> Optional[list[int]
     return [i for i, s in enumerate(stamps) if lo <= s.ljust(17, b"0") <= hi]
 
 
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b"%", b"") + b"\n"  # the bytes of a block _summary_rows checks in batch
+
+
+def _summary_rows(lines: list[bytes], last: bytes, stamp: bytes,
+                  wanted: list[bytes]) -> Optional[tuple[list[int], bytes, bytes]]:
+    """For the lines of one summary block, read after a line of urlkey field
+    last and stamp field stamp, and the sorted keys wanted: the indices of
+    the lines whose urlkey field is wanted, and the urlkey and stamp fields
+    of the block's last line.  The block is checked in a few passes: every
+    line plain (eight spaces, so nine fields; printable ASCII without a %
+    escape, so no CR and each urlkey field its key; no header), every stamp
+    of one length, 14 or 17, and the (urlkey, stamp) pairs in order from
+    the line before on.  An empty last line, which ends the file, is left
+    out.  None unless the block passes; then parse_cdx checks its lines one
+    by one, to raise at the line that fails."""
+    if lines and not lines[-1]:
+        lines = lines[:-1]
+    if not lines or set(map(bytes.count, lines, repeat(b" "))) != {8}:
+        return None
+    block = b"\n".join(lines)
+    if block.translate(None, _PLAIN) or block.startswith(b" CDX") or b"\n CDX" in block:
+        return None
+    pairs = [line.split(b" ", 2)[:2] for line in lines]
+    key, first = pairs[0]
+    if ({len(s) for _, s in pairs} not in ({14}, {17})
+            or key <= last and (key < last or first.ljust(17, b"0") < stamp.ljust(17, b"0"))
+            or sorted(pairs) != pairs):
+        return None
+    keys = [key for key, _ in pairs]
+    near = wanted[bisect_left(wanted, keys[0]) : bisect_right(wanted, keys[-1])]  # the keys the block can hold
+    rows = [i for k in near for i in range(bisect_left(keys, k), bisect_right(keys, k))]
+    return rows, *pairs[-1]
+
+
 def _bad_line(kind, file, first: Optional[int], at: int, lines: list[bytes], i: int, detail) -> BadCdxLine:
     """A kind error at lines[i], of lines whose first is line number first
     (None when unknown) and starts at byte at."""
@@ -291,7 +337,7 @@ def _plan(file, pred: Optional[ScanPredicate], tracker: IoTracker):
     as (first, last) block.  For each key they hold the blocks from the last
     whose first key is below it through the last whose first key is not
     above it, the first block when there are none such, so that the block
-    read shows where the key is; blocks less than _MERGE_GAP bytes apart
+    read shows where the key is; blocks at most _MERGE_GAP bytes apart
     are read with the blocks between them, in one run.  None again when
     that is every block, which reads as without a summary, or when a block
     to read is larger than _FETCH_BYTES, as _block_lines holds each whole."""
@@ -307,12 +353,9 @@ def _plan(file, pred: Optional[ScanPredicate], tracker: IoTracker):
     blocks = {max(i - 1, 0) for i in set(map(bisect_left, repeat(firsts), keys))}  # the bisects run in C
     for k in keys.intersection(firsts):  # a key that starts blocks may have lines in each of them
         blocks.update(range(bisect_left(firsts, k), bisect_right(firsts, k)))
-    runs: list[tuple[int, int]] = []
-    for i in sorted(blocks):
-        if runs and bounds[i] - bounds[runs[-1][1] + 1] < _MERGE_GAP:
-            runs[-1] = runs[-1][0], i
-        else:
-            runs.append((i, i))
+    # no cap: a run is read a block at a time
+    spans = coalesce([(bounds[i], bounds[i + 1]) for i in blocks], _MERGE_GAP, math.inf)
+    runs = [(bisect_left(bounds, start), bisect_left(bounds, end) - 1) for start, end in spans]
     if runs == [(0, len(fields) - 1)] or any(
             bounds[i + 1] - bounds[i] > _FETCH_BYTES for first, last in runs for i in range(first, last + 1)):
         return None

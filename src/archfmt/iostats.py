@@ -8,7 +8,14 @@ the host's page cache.  Conventions:
 * ``seek_count`` — one per seek or positioned read and one per sequential
   scan start (establishing the cursor costs one seek).
 * ``bytes_read`` — bytes actually delivered from the file, compressed as
-  stored on disk.
+  stored on disk, including the gaps a coalesced read reads through.
+
+The paper's cost model prices these counters: ``SEEK_MS`` a seek plus the
+bytes at ``MB_PER_S`` (``bench.modeled_ms``).  Its break-even, ``MERGE_GAP``,
+is the bytes one seek's time transfers: a reader that reads through a gap no
+larger than it, rather than seeking over it, never costs more under the
+model.  :func:`coalesce` plans reads by that rule, and ``RUN_BYTES`` caps
+one read: a CARC run, a CDX fetch or summary block.
 """
 
 from __future__ import annotations
@@ -17,6 +24,26 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
+
+SEEK_MS = 10.0  # the cost model: ms a seek or positioned read,
+MB_PER_S = 100.0  # and MiB/s of transfer
+MERGE_GAP = int(SEEK_MS * MB_PER_S * (1 << 20) / 1000)  # 1 MiB: the bytes one seek's time transfers
+RUN_BYTES = 8 << 20  # most bytes one coalesced read takes, unless one span alone is larger
+
+
+def coalesce(spans: Iterable[tuple[int, int]], gap: float, cap: float) -> list[tuple[int, int]]:
+    """The reads, as [start, end) ranges in file order, that cover the
+    disjoint [start, end) spans: taken by start, a span joins the read
+    before it when the hole between them is at most gap bytes and the read
+    stays within cap bytes.  A span larger than cap is a read of its own."""
+    runs: list[tuple[int, int]] = []
+    for start, end in sorted(spans):
+        if runs and start - runs[-1][1] <= gap and end - runs[-1][0] <= cap:
+            runs[-1] = runs[-1][0], end
+        else:
+            runs.append((start, end))
+    return runs
 
 
 @dataclass

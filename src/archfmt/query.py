@@ -106,7 +106,9 @@ def _scan(
     Every backend tests pred on its column before it builds the others, and
     builds those only for the rows that match.  carc reads only the chunks
     it needs of the row groups the planner keeps, and of a group only the
-    predicate chunk when no row matches.  rarc walks every row of every
+    predicate chunk when no row matches; the other chunks of a group are
+    read in runs that take in holes of at most the cost model's break-even
+    (iostats.coalesce).  rarc walks every row of every
     block.  warc_cdx has parse_cdx keep only the index lines pred matches,
     and answers from the CDX alone when every column is a CDX column, else
     fetches their records.  Both WARC backends take their rows from

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import io
+import itertools
 import math
 import random
 import re
@@ -12,7 +13,8 @@ import zlib
 
 import pytest
 
-from archfmt import carc
+from archfmt import carc, iostats
+from archfmt.bench import modeled_ms
 from archfmt.carc import (
     MAGIC,
     TRAILER_LEN,
@@ -482,7 +484,111 @@ def test_urlkey_lookup_inflates_one_page_per_projected_column(tmp_path, monkeypa
             assert got == [rows[i] if proj is None else tuple(rows[i][SCHEMA.index_of(n)] for n in proj)]
             columns = {"urlkey", *(proj or (c.name for c in SCHEMA.columns))}
             assert len(inflated) == len(columns), (i, proj)  # one page of each
-            assert m.seek_count == 2 + len(columns)
+            # trailer, footer, the predicate page, then the runs that the spans of row i's pages
+            # of the other columns make: one, as the file is far smaller than the break-even
+            footer = read_footer(path)
+            g, row = footer.row_groups[i // 200], i % 200
+            spans = []
+            for name in columns - {"urlkey"}:
+                c = g.chunks[SCHEMA.index_of(name)]
+                at = list(itertools.accumulate((p.compressed_len for p in c.pages), initial=c.chunk_offset))
+                pi = row // 16
+                spans.append((at[pi], at[pi + 1]))
+            runs = iostats.coalesce(spans, iostats.MERGE_GAP, iostats.RUN_BYTES)
+            assert len(runs) == (len(columns) > 1)
+            assert m.seek_count == 3 + len(runs)
+
+
+def _reads_of(monkeypatch):
+    """The list that collects every positioned read, as (offset, length read)."""
+    reads = []
+    pread = iostats.TrackedFile.pread
+    monkeypatch.setattr(iostats.TrackedFile, "pread", lambda self, at, n: reads.append((at, n)) or pread(self, at, n))
+    return reads
+
+
+def _read_with_merging(monkeypatch, gap, cap, path, proj, pred, reads):
+    """(rows, measurement, positioned reads) of read_carc with runs planned at gap and cap."""
+    monkeypatch.setattr(carc, "MERGE_GAP", gap)
+    monkeypatch.setattr(carc, "RUN_BYTES", cap)
+    reads.clear()
+    m = IoTracker()
+    rows = [_detached(r) for r in read_carc(path, projection=proj, pred=pred, tracker=m)]
+    return rows, m, list(reads)
+
+
+@pytest.mark.parametrize("codec", ["none", "gzip"])
+def test_coalesced_reads_equal_a_read_per_span_and_never_cost_more(tmp_path, monkeypatch, codec):
+    """Against a reader that reads each span alone (merging patched off), the
+    rows are the same, and seeks and modeled cost are no higher.  Each read
+    of a group's spans is one span, or spans joined across holes of at most
+    the gap, no larger than the cap unless it is one span, inside one group."""
+    rng = random.Random(5 + (codec == "gzip"))
+    reads = _reads_of(monkeypatch)
+    merged = 0
+    for trial in range(40):
+        set_pages(monkeypatch, rng.choice([3, 16, 1024]), rng.choice([64, 1 << 20]))
+        rows = make_rows(rng.randint(12, 300), seed=trial)  # enough for _predicates to sample
+        sort_key = rng.choice([None, "urlkey"])
+        if sort_key:
+            rows.sort()
+        path = tmp_path / f"c{trial}.carc"
+        write_carc(rows, SCHEMA, path, rows_per_group=rng.choice([1, 7, 64, 500]), codec=codec, sort_key=sort_key)
+        groups = [(g.chunks[0].chunk_offset, g.chunks[-1].chunk_offset + g.chunks[-1].chunk_compressed_len)
+                  for g in read_footer(path).row_groups]
+        gap, cap = rng.choice([(iostats.MERGE_GAP, iostats.RUN_BYTES), (0, iostats.RUN_BYTES),
+                               (rng.randint(1, 400), rng.randint(1, 3000))])
+        for pred in [None] + _predicates(rows, rng):
+            proj = rng.choice(PROJECTIONS)
+            want, ref, per_span = _read_with_merging(monkeypatch, -1, cap, path, proj, pred, reads)
+            got, m, runs = _read_with_merging(monkeypatch, gap, cap, path, proj, pred, reads)
+            assert got == want, (trial, pred, proj)
+            assert m.seek_count <= ref.seek_count
+            assert modeled_ms(m) <= modeled_ms(ref)
+            assert runs[:2] == per_span[:2]  # trailer and footer
+            spans = iter(per_span[2:])
+            for at, n in runs[2:]:  # each run is the spans it covers, taken in order
+                inside = [next(spans)]
+                while inside[-1][0] + inside[-1][1] < at + n:
+                    inside.append(next(spans))
+                assert inside[0][0] == at and inside[-1][0] + inside[-1][1] == at + n
+                assert all(b[0] - (a[0] + a[1]) <= min(gap, iostats.MERGE_GAP) for a, b in zip(inside, inside[1:]))
+                assert n <= cap or len(inside) == 1
+                assert any(start <= at and at + n <= end for start, end in groups)
+                merged += len(inside) > 1
+            assert next(spans, None) is None
+    assert merged > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_error_inside_a_merged_run_is_typed_and_located_as_in_a_read_per_span(tmp_path, monkeypatch, n):
+    """A corrupted page inside a run, and a truncated file, raise the error
+    class and file@offset a read per span raises, at 1 and 2 threads."""
+    monkeypatch.setattr(carc, "PAGE_ROWS", 8)
+    path = tmp_path / "r.carc"
+    write_carc(make_rows(100, seed=23), SCHEMA, path, rows_per_group=50)
+    footer = read_footer(path)
+    reads = _reads_of(monkeypatch)
+    data = path.read_bytes()
+    note = footer.row_groups[1].chunks[SCHEMA.index_of("note")]
+    cases = {  # a page of a column read inside a run, stored bytes flipped; the file cut short
+        "page": bytes(b ^ 0xFF if i == note.chunk_offset + 3 else b for i, b in enumerate(data)),
+        "truncated": data[: len(data) // 2],
+    }
+    bad = tmp_path / "bad.carc"
+    for name, mutated in cases.items():
+        bad.write_bytes(mutated)
+        for pred in (None, ScanPredicate.range("timestamp", 0, 10**12)):
+            errors = []
+            for gap in (-1, iostats.MERGE_GAP):
+                with at_threads(n):
+                    with pytest.raises(ArchfmtError) as info:
+                        _read_with_merging(monkeypatch, gap, iostats.RUN_BYTES, bad, None, pred, reads)
+                errors.append((type(info.value), str(info.value), len(reads)))
+            assert errors[0][:2] == errors[1][:2], (name, pred)
+            assert errors[0][1].startswith(f"{bad}@")
+            if name == "page":
+                assert errors[0][0] is DecompressFailure and errors[1][2] < errors[0][2]  # fewer reads, same error
 
 
 def test_pages_close_at_page_rows_or_page_bytes(tmp_path, monkeypatch):
@@ -599,8 +705,8 @@ def test_ordered_map_closed_early_does_not_wait_for_the_pool_unit():
 
 def test_read_carc_closed_after_its_first_page_reads_no_more_at_two_threads(tmp_path, monkeypatch):
     """A reader closed early may have read one unit more than it yielded;
-    read_carc reads each chunk's wanted pages with one pread before
-    any is inflated, so it reads exactly what it reads at one thread."""
+    read_carc reads each group's runs of wanted pages before any page is
+    inflated, so it reads exactly what it reads at one thread."""
     monkeypatch.setattr(carc, "PAGE_ROWS", 8)
     path = tmp_path / "e.carc"
     write_carc(make_rows(100, seed=17), SCHEMA, path, rows_per_group=50)

@@ -2,6 +2,7 @@ import calendar
 import random
 import re
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -735,6 +736,102 @@ def test_a_block_read_starts_a_line_and_its_lines_are_in_order(tmp_path, monkeyp
     tracker = IoTracker()
     assert _lookup(path, keys, tracker) == [e for e in parse_cdx(path) if e.urlkey in keys]
     assert tracker.bytes_read == path.stat().st_size + summary.stat().st_size and tracker.seek_count == 2
+
+
+def _write_summarized(path, lines, block_lines, newline="\n"):
+    """Write the header and the CDX lines, and a summary of them in blocks of
+    block_lines lines, as _write_index does: each block keyed by the first
+    field of its first line, the first block starting at 0."""
+    data = (CDX_HEADER + newline).encode()
+    blocks = []
+    for i, ln in enumerate(lines):
+        if i % block_lines == 0:
+            blocks.append(b"%s %d\n" % (ln.encode("utf-8").split(b" ")[0], len(data) if i else 0))
+        data += (ln + newline).encode("utf-8")
+    path.write_bytes(data)
+    Path(cdx_mod.summary_path(path)).write_bytes(b"%s%d\n%s" % (cdx_mod.SUMMARY_HEADER, len(data), b"".join(blocks)))
+
+
+def _looked_up(path, keys):
+    """_lookup's entries, or its error: class, message, line and offset."""
+    from archfmt.errors import BadSummary
+
+    try:
+        return _lookup(path, keys)
+    except (BadCdxLine, BadSummary) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None), exc.offset
+
+
+def _edit_line(lines, at, case):
+    """Apply one case to the CDX lines (header left out) at index at, so that
+    lines at and at + 1 stay in order unless the case breaks it."""
+    key, stamp, *rest = lines[at].split(" ")
+    if case == "equal pair":
+        lines.insert(at, lines[at])
+    elif case == "out of order":
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+    elif case == "stamp below its padding":  # in raw order after line at, not once padded to 17 digits
+        other = stamp + "!!!" if len(stamp) == 14 else stamp[:14]
+        lines.insert(at + 1, " ".join([key, other, *rest]))
+    elif case == "8 fields":
+        lines[at] = lines[at].rsplit(" ", 1)[0]
+    elif case == "10 fields":
+        lines[at] += " g"
+    elif case == "bad length":  # fails only once decoded
+        lines[at] = " ".join([key, stamp, *rest[:-3], "1x", *rest[-2:]])
+    elif case == "bad stamp":
+        lines[at] = " ".join([key, stamp[:-1] + "x", *rest])
+    elif case in ("tab in key", "control byte in key", "non-ASCII key"):  # the last line of its key
+        while at + 1 < len(lines) and lines[at + 1].split(" ")[0] == key:
+            at += 1
+        end = {"tab in key": "\t", "control byte in key": "\x01", "non-ASCII key": "\u00e9"}[case]
+        lines[at] = lines[at].replace(" ", end + " ", 1)
+    elif case == "header-like":  # after the lines of the empty key, in order but for the header skip
+        lines.insert(sum(ln.startswith(" ") for ln in lines), " CDX12345678901 a b c d e f g")
+
+
+def test_summary_blocks_checked_in_batch_equal_the_per_line_loop(tmp_path, monkeypatch):
+    """A lookup checks a plain summary block in one batch (_summary_rows), and
+    every other block line by line: the entries, or the error with its
+    class, line and offset, are those of checking every line alone."""
+    rng = random.Random(31)
+    plain = [f"com,k{i:02d})/" for i in range(12)]
+    escaped = ["com,k03)/x%20y", "com,k05)/a b", "com,k07)/%", "org,z)/q?x=1", ""]
+    cases = ["random", "equal pair", "out of order", "stamp below its padding", "8 fields", "10 fields",
+             "bad length", "bad stamp", "tab in key", "control byte in key", "non-ASCII key", "header-like"]
+    batched = []
+    summary_rows = cdx_mod._summary_rows
+    monkeypatch.setattr(cdx_mod, "_summary_rows", lambda *args: batched.append(summary_rows(*args)) or batched[-1])
+    path = tmp_path / "s.cdx"
+    for case in cases:
+        for trial in range(4):
+            # plain keys or escaped ones too; stamps of 14 digits, 17, or mixed
+            pool = plain if trial < 2 else plain + escaped
+            ms = [[0], [1, 500, 999], [0], [0, 0, 1, 999]][trial]
+            entries = [CdxEntry(rng.choice(pool), rng.randint(0, 2 * 10**9) * 1000 + rng.choice(ms), f"http://u{i}/",
+                                "", 200, f"D{i}", 10, i, "f") for i in range(rng.randint(30, 90))]
+            entries.sort(key=lambda e: (e.urlkey, e.timestamp))
+            near = set()
+            if case == "header-like":  # lines of the empty key, enough to fill a block past the first
+                entries[:0] = [CdxEntry("", 1526889600000 + 1000 * i, "u", "", 200, "D", 10, i, "f") for i in range(6)]
+                near.add("")
+            lines = [e.to_line() for e in entries]
+            at = rng.randrange(len(lines) - 1)
+            near.update(ln.split(" ")[0] for ln in lines[max(at - 1, 0) : at + 3])
+            _edit_line(lines, at, case)
+            keyed = sorted(cdx_mod._unescape(k) for k in near)
+            queries = [[k] for k in keyed] + [keyed, rng.sample(pool, 3), ["absent)/"]]
+            for block_lines in (4, 16):
+                for newline in ("\n", "\r\n"):
+                    _write_summarized(path, lines, block_lines, newline)
+                    for q in queries:
+                        got = _looked_up(path, q)
+                        with monkeypatch.context() as m:
+                            m.setattr(cdx_mod, "_summary_rows", lambda *args: None)
+                            assert got == _looked_up(path, q), (case, trial, block_lines, newline, q)
+                        if case == "random":
+                            assert got == [e for e in entries if e.urlkey in q]
+    assert any(rows is not None for rows in batched) and None in batched
 
 
 def test_summary_fuzz_fails_only_with_located_errors(tmp_path, monkeypatch):
